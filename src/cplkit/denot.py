@@ -11,27 +11,20 @@ when no ``A``-event is visible, and otherwise evaluates ``f`` at the
 latest visible one (the current event itself when already on ``A``).
 ``f1 S f2`` looks back along the current lifeline only.
 
-Evaluation fills a table over (event, subformula) pairs bottom-up, so a
-full chart costs O(|events| * |subformulas|) plus navigation.
+Evaluation runs the guard set's plan one column per subformula, children
+first, so a full chart costs O(|events| * |subformulas|) plus navigation.
 """
 
 from __future__ import annotations
 
 from .lang import (
-    And,
-    At,
     Atom,
     AtField,
     Formula,
     GuardSet,
     Lit,
     LocalVar,
-    Not,
     Operand,
-    Or,
-    Since,
-    Truth,
-    Yesterday,
     close_guards,
     is_core,
 )
@@ -90,51 +83,47 @@ def eval_atom(m: Msc, e: int, a: Atom) -> bool:
 def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
     """Truth of every guard-set subformula at every event.
 
-    Returns one row per event, aligned with ``gs.sub``.
+    Runs the guard set's plan column by column, one list per subformula
+    indexed by position in ``m.events``. Returns one row per event,
+    aligned with ``gs.sub``.
     """
-    cols: list[dict[int, bool]] = []
     events = m.events
-    for f in gs.sub:
-        col: dict[int, bool] = {}
-        if isinstance(f, Truth):
-            for e in events:
-                col[e] = True
-        elif isinstance(f, Atom):
-            for e in events:
-                col[e] = eval_atom(m, e, f)
-        elif isinstance(f, Not):
-            sub = cols[gs.index[f.body]]
-            for e in events:
-                col[e] = not sub[e]
-        elif isinstance(f, And):
-            lcol, rcol = cols[gs.index[f.left]], cols[gs.index[f.right]]
-            for e in events:
-                col[e] = lcol[e] and rcol[e]
-        elif isinstance(f, Or):
-            lcol, rcol = cols[gs.index[f.left]], cols[gs.index[f.right]]
-            for e in events:
-                col[e] = lcol[e] or rcol[e]
-        elif isinstance(f, Yesterday):
-            sub = cols[gs.index[f.body]]
-            for e in events:
-                prev = m.last_loc(e)
-                col[e] = prev is not None and sub[prev]
-        elif isinstance(f, At):
-            sub = cols[gs.index[f.body]]
-            for e in events:
-                lv = m.last_visible(e, f.lifeline)
-                col[e] = lv is not None and sub[lv]
-        elif isinstance(f, Since):
-            fcol, scol = cols[gs.index[f.first]], cols[gs.index[f.second]]
-            for b in m.lifelines:
+    pos = {e: k for k, e in enumerate(events)}  # pos.get(None) is None
+    prev: list[int | None] = []
+    visible: dict[str, list[int | None]] = {}
+    cols: list[list[bool]] = []
+    for op, a, b in gs.plan:
+        if op == "atom":
+            col = [eval_atom(m, e, a) for e in events]
+        elif op == "and":
+            col = [x and y for x, y in zip(cols[a], cols[b])]
+        elif op == "or":
+            col = [x or y for x, y in zip(cols[a], cols[b])]
+        elif op == "not":
+            col = [not x for x in cols[a]]
+        elif op == "Y":
+            prev = prev or [pos.get(m.last_loc(e)) for e in events]
+            sub = cols[a]
+            col = [k is not None and sub[k] for k in prev]
+        elif op == "at":
+            if b not in visible:
+                visible[b] = [pos.get(m.last_visible(e, b)) for e in events]
+            sub = cols[a]
+            col = [k is not None and sub[k] for k in visible[b]]
+        elif op == "S":
+            first, second = cols[a], cols[b]
+            col = [False] * len(events)
+            for lifeline in m.lifelines:
                 cur = False
-                for e in m.events_of(b):
-                    cur = scol[e] or (fcol[e] and cur)
-                    col[e] = cur
-        else:
-            raise ValueError(f"formula is not core: {f!r}")
+                for e in m.events_of(lifeline):
+                    k = pos[e]
+                    cur = col[k] = second[k] or (first[k] and cur)
+        else:  # "true"
+            col = [True] * len(events)
         cols.append(col)
-    return {e: tuple(col[e] for col in cols) for e in events}
+    if not cols:
+        return {e: () for e in events}
+    return dict(zip(events, zip(*cols)))
 
 
 def sat(m: Msc, e: int, f: Formula) -> bool:
@@ -143,4 +132,4 @@ def sat(m: Msc, e: int, f: Formula) -> bool:
     if not is_core(f):
         raise ValueError("formula contains derived forms; expand first")
     gs = close_guards([f])
-    return sat_table(m, gs)[e][gs.index[f]]
+    return sat_table(m, gs)[e][gs.guard_pos[0]]

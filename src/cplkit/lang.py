@@ -521,6 +521,14 @@ def expand_derived(f: Formula, lifelines: tuple[str, ...] | list[str]) -> Formul
     return f
 
 
+#: The plan opcode of each core constructor. ``S`` steps read ``a`` as
+#: the first and ``b`` as the second argument of ``Since``.
+OPCODES = {
+    Truth: "true", Atom: "atom", Not: "not", And: "and", Or: "or",
+    Yesterday: "Y", Since: "S", At: "at",
+}
+
+
 @dataclass(frozen=True)
 class GuardSet:
     """A closed set of guards shared by all monitors of one run.
@@ -528,13 +536,21 @@ class GuardSet:
     ``sub`` lists every structural subformula exactly once, children
     before parents; ``index`` maps a subformula to its position. Tables
     in monitor states and message payloads are keyed by these positions.
-    ``cross_vars`` are the variable names read through ``At[B].x`` terms,
-    ``local_vars`` the names read unqualified.
+    ``plan`` compiles ``sub`` into one evaluation step per position, an
+    ``(opcode, a, b)`` triple (see :data:`OPCODES`): ``a``/``b`` are the
+    child positions, except that an atom step carries the :class:`Atom`
+    as ``a`` and an ``at`` step the lifeline name as ``b``. Children come
+    first, so one pass in order evaluates the whole set. ``guard_pos`` is
+    the position of each guard. ``cross_vars`` are the variable names
+    read through ``At[B].x`` terms, ``local_vars`` the names read
+    unqualified.
     """
 
     formulas: tuple[Formula, ...]
     sub: tuple[Formula, ...]
     index: dict[Formula, int]
+    plan: tuple[tuple, ...]
+    guard_pos: tuple[int, ...]
     cross_vars: frozenset[str]
     local_vars: frozenset[str]
 
@@ -549,17 +565,23 @@ def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:
             raise ValueError("guard contains derived forms; call expand_derived first")
     sub: list[Formula] = []
     index: dict[Formula, int] = {}
+    plan: list[tuple] = []
 
-    def visit(f: Formula) -> None:
-        if f in index:
-            return
-        for c in children(f):
-            visit(c)
-        index[f] = len(sub)
+    def visit(f: Formula) -> int:
+        pos = index.get(f)
+        if pos is not None:
+            return pos
+        a, b = ([visit(c) for c in children(f)] + [None, None])[:2]
+        if isinstance(f, Atom):
+            a = f
+        elif isinstance(f, At):
+            b = f.lifeline
+        pos = index[f] = len(sub)
         sub.append(f)
+        plan.append((OPCODES[type(f)], a, b))
+        return pos
 
-    for f in formulas:
-        visit(f)
+    guard_pos = tuple(visit(f) for f in formulas)
 
     cross: set[str] = set()
     local: set[str] = set()
@@ -575,6 +597,8 @@ def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:
         formulas=tuple(formulas),
         sub=tuple(sub),
         index=index,
+        plan=tuple(plan),
+        guard_pos=guard_pos,
         cross_vars=frozenset(cross),
         local_vars=frozenset(local),
     )

@@ -12,9 +12,13 @@ Processing one event runs in two phases:
      snapshot the previous subformula values; tick the local clock
      component; install the post-event store and mirror monitored
      variables into the local value row.
-  2. ``finish_event`` — evaluate every subformula bottom-up against the
-     updated state, publish the results as the local view row, and (on a
-     send) emit a payload carrying deep snapshots of clock and views.
+  2. ``finish_event`` — one pass over the guard set's plan
+     (:attr:`~cplkit.lang.GuardSet.plan`), children before parents: each
+     step appends its value to the current row, reading child values
+     from that row, ``Y``/``S`` history from the previous-event snapshot
+     and ``at(B, f)`` from ``B``'s view row at ``f``'s position. The
+     result is published as the local view row and (on a send) a payload
+     carrying deep snapshots of clock and views is emitted.
 
 The copy-then-join order in phase 1 matters: joining first would destroy
 the "is the sender ahead?" test. ``mutation`` arguments deliberately break
@@ -33,23 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .denot import compare_values, sat_table
-from .lang import (
-    And,
-    At,
-    Atom,
-    AtField,
-    Formula,
-    GuardSet,
-    Lit,
-    LocalVar,
-    Not,
-    Or,
-    Since,
-    Truth,
-    Yesterday,
-)
+from .lang import AtField, Formula, GuardSet, Lit, LocalVar
 from .msc import EventKind, Msc, Valuation, Value, values_equal
-from .trace import decode_value, encode_value
+from .trace import TraceFormatError, decode_value, encode_value
 
 Row = tuple[bool, ...]
 
@@ -97,23 +87,50 @@ class MessagePayload:
 
     @classmethod
     def from_wire(cls, data: dict, subformula_count: int) -> "MessagePayload":
-        vc = {str(b): int(n) for b, n in data["vc"].items()}
+        """Inverse of :meth:`to_wire`; every malformed part raises
+        :class:`MonitorError`."""
+        if not isinstance(data, dict) or not isinstance(data.get("vc"), dict):
+            raise MonitorError("payload must be an object with a vc object")
+        vc = data["vc"]
+        for b, n in vc.items():
+            if not isinstance(b, str) or type(n) is not int or n < 0:
+                raise MonitorError(f"clock of {b!r} is not a natural number: {n!r}")
         rows: dict[str, list[bool | None]] = {}
-        for b, i, v in data["view"]:
-            rows.setdefault(b, [None] * subformula_count)[i] = bool(v)
+        for b, i, v in _triples(data, "view"):
+            if type(i) is not int or not 0 <= i < subformula_count or type(v) is not bool:
+                raise MonitorError(f"bad view entry {[b, i, v]!r}")
+            rows.setdefault(b, [None] * subformula_count)[i] = v
         view: dict[str, Row] = {}
         for b, row in rows.items():
             if any(v is None for v in row):
                 raise MonitorError(f"incomplete view row for lifeline {b!r}")
             view[b] = tuple(row)
         var: dict[str, dict[str, Value]] = {}
-        for b, x, v in data["var"]:
-            var.setdefault(b, {})[x] = decode_value(v)
-        payload = cls(vc=vc, view=view, var=var, payload=data.get("payload", ""))
+        for b, x, v in _triples(data, "var"):
+            if not isinstance(x, str):
+                raise MonitorError(f"bad variable name {x!r} for {b!r}")
+            try:
+                var.setdefault(b, {})[x] = decode_value(v)
+            except TraceFormatError as exc:
+                raise MonitorError(f"bad value for {b!r}.{x}: {exc}") from None
+        text = data.get("payload", "")
+        if not isinstance(text, str):
+            raise MonitorError("payload data must be a string")
+        payload = cls(vc=dict(vc), view=view, var=var, payload=text)
         for b in set(view) | set(var):
             if payload.vc.get(b, 0) == 0:
                 raise MonitorError(f"payload has entries for unseen lifeline {b!r}")
         return payload
+
+
+def _triples(data: dict, key: str) -> list[list]:
+    """``data[key]`` as a list of ``[lifeline, key, value]`` triples."""
+    items = data.get(key)
+    if not isinstance(items, list) or not all(
+        isinstance(t, list) and len(t) == 3 and isinstance(t[0], str) for t in items
+    ):
+        raise MonitorError(f"payload {key} must be a list of [lifeline, key, value]")
+    return items
 
 
 @dataclass
@@ -152,10 +169,7 @@ class MonitorState:
         """Most recent verdict per guard (by position in the guard list)."""
         if self.vals is None:
             return {}
-        return {
-            i: self.vals[self.guards.index[f]]
-            for i, f in enumerate(self.guards.formulas)
-        }
+        return {i: self.vals[p] for i, p in enumerate(self.guards.guard_pos)}
 
 
 def init_monitor(
@@ -185,12 +199,16 @@ def begin_event(
         if mutation == "swap-merge-order":
             for b in s.lifelines:
                 s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
-        for b in s.lifelines:
-            if mu.vc.get(b, 0) > s.vc[b]:
-                # The sender is strictly ahead on b: adopt its rows wholesale
-                # (entries the sender lacks must disappear here too).
-                s.view[b] = mu.view[b]
-                s.var[b] = dict(mu.var.get(b, {}))
+        ahead = [b for b in s.lifelines if mu.vc.get(b, 0) > s.vc[b]]
+        width = len(s.guards.sub)
+        for b in ahead:
+            if len(mu.view.get(b, ())) != width:
+                raise MonitorError(f"payload is ahead on {b!r} but has no view row of width {width}")
+        for b in ahead:
+            # The sender is strictly ahead on b: adopt its rows wholesale
+            # (entries the sender lacks must disappear here too).
+            s.view[b] = mu.view[b]
+            s.var[b] = dict(mu.var.get(b, {}))
         for b in s.lifelines:
             s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
 
@@ -207,11 +225,8 @@ def begin_event(
 def finish_event(
     s: MonitorState, d: EventDescriptor, mutation: str | None = None
 ) -> MessagePayload | None:
-    """Phase 2: evaluate all subformulas, publish the local row, emit."""
-    memo: dict[int, bool] = {}
-    for f in s.guards.sub:
-        eval_local(s, f, s.old, memo, mutation)
-    s.vals = tuple(memo[i] for i in range(len(s.guards.sub)))
+    """Phase 2: run the plan, publish the local row, emit."""
+    s.vals = tuple(_run_plan(s, len(s.guards.plan), s.old, mutation))
     s.view[s.me] = s.vals
 
     if d.kind.tag == "send":
@@ -245,78 +260,61 @@ def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
 
 
 def eval_local(
-    s: MonitorState,
-    f: Formula,
-    old: Row,
-    memo: dict[int, bool] | None = None,
-    mutation: str | None = None,
+    s: MonitorState, f: Formula, old: Row, mutation: str | None = None
 ) -> bool:
     """Truth of one guard-set subformula against the mid-update state.
 
     Call between :func:`begin_event` and :func:`finish_event` (or rely on
     :func:`on_event`, which records all results). ``old`` holds the
     previous event's subformula values, indexed like the guard set.
+    Runs the plan up to ``f``.
     """
     idx = s.guards.index.get(f)
     if idx is None:
         raise MonitorError("formula is not in the closed guard set")
-    if memo is not None and idx in memo:
-        return memo[idx]
+    return _run_plan(s, idx + 1, old, mutation)[idx]
 
-    if isinstance(f, Truth):
-        v = True
-    elif isinstance(f, Atom):
-        v = compare_values(f.op, _operand(s, f.left), _operand(s, f.right))
-    elif isinstance(f, Not):
-        v = not eval_local(s, f.body, old, memo, mutation)
-    elif isinstance(f, And):
-        v = eval_local(s, f.left, old, memo, mutation) and eval_local(
-            s, f.right, old, memo, mutation
-        )
-    elif isinstance(f, Or):
-        v = eval_local(s, f.left, old, memo, mutation) or eval_local(
-            s, f.right, old, memo, mutation
-        )
-    elif isinstance(f, Yesterday):
-        v = s.vc[s.me] > 1 and _old_value(s, f.body, old, memo, mutation)
-    elif isinstance(f, At):
-        if f.lifeline == s.me:
-            if mutation == "strict-at":
-                v = s.vc[s.me] > 1 and _old_value(s, f.body, old, memo, mutation)
+
+def _run_plan(
+    s: MonitorState, stop: int, old: Row, mutation: str | None
+) -> list[bool]:
+    """Values of the first ``stop`` plan steps. Child values come from the
+    list being built; ``Y`` and ``S`` read ``old``, which is meaningless
+    at the first local event, hence the ``later`` guard."""
+    me, vc, view = s.me, s.vc, s.view
+    later = vc[me] > 1
+    strict_at = mutation == "strict-at"
+    vals: list[bool] = []
+    y_row = vals if mutation == "live-old" else old
+    push = vals.append
+    for op, a, b in s.guards.plan[:stop]:
+        if op == "atom":
+            v = compare_values(a.op, _operand(s, a.left), _operand(s, a.right))
+        elif op == "and":
+            v = vals[a] and vals[b]
+        elif op == "or":
+            v = vals[a] or vals[b]
+        elif op == "not":
+            v = not vals[a]
+        elif op == "S":  # old[len(vals)] is this step's previous value
+            v = vals[b] or (vals[a] and later and old[len(vals)])
+        elif op == "at":
+            if b == me:
+                v = (later and old[a]) if strict_at else vals[a]
+            elif vc.get(b, 0) == 0:
+                v = False
             else:
-                v = eval_local(s, f.body, old, memo, mutation)
-        elif s.vc.get(f.lifeline, 0) == 0:
-            v = False
-        else:
-            row = s.view.get(f.lifeline)
-            # Row presence follows the clock in every reachable state; a
-            # mutated monitor can get here with no row, which must surface
-            # as a wrong verdict rather than a crash.
-            v = row is not None and row[s.guards.index[f.body]]
-    elif isinstance(f, Since):
-        prev = s.vc[s.me] > 1 and old[idx]
-        v = eval_local(s, f.second, old, memo, mutation) or (
-            eval_local(s, f.first, old, memo, mutation) and prev
-        )
-    else:
-        raise MonitorError(f"formula is not core: {f!r}")
-
-    if memo is not None:
-        memo[idx] = v
-    return v
-
-
-def _old_value(
-    s: MonitorState,
-    f: Formula,
-    old: Row,
-    memo: dict[int, bool] | None,
-    mutation: str | None,
-) -> bool:
-    idx = s.guards.index[f]
-    if mutation == "live-old" and memo is not None and idx in memo:
-        return memo[idx]
-    return old[idx]
+                row = view.get(b)
+                # Row presence follows the clock in every reachable state;
+                # a mutated monitor can get here with no row, which must
+                # surface as a wrong verdict rather than a crash.
+                v = row is not None and row[a]
+        elif op == "Y":
+            v = later and y_row[a]
+        else:  # "true"
+            v = True
+        push(v)
+    return vals
 
 
 def _operand(s: MonitorState, x: Lit | LocalVar | AtField) -> Value | None:
@@ -424,7 +422,7 @@ def check_coherence(
         target = m.events_of(b)[k - 1]
         if s.view[b] != denot_rows[target]:
             ii_bad.append(f"{b}: view row differs from event {target}")
-        if not _var_row_matches(s.var[b], m.val[target], gs.cross_vars):
+        if not var_row_matches(s.var[b], m.val[target], gs.cross_vars):
             ii_bad.append(f"{b}: value row differs from event {target}")
 
     iii_bad: list[str] = []
@@ -432,7 +430,7 @@ def check_coherence(
     for x in sorted(gs.local_vars | gs.cross_vars):
         if not values_equal(s.store.get(x), nu.get(x)):
             iii_bad.append(f"store[{x}] != valuation at {e}")
-    if not _var_row_matches(s.var.get(s.me, {}), nu, gs.cross_vars):
+    if not var_row_matches(s.var.get(s.me, {}), nu, gs.cross_vars):
         iii_bad.append("local value row does not mirror the valuation")
 
     prev = m.last_loc(e)
@@ -449,7 +447,7 @@ def check_coherence(
     )
 
 
-def _var_row_matches(
+def var_row_matches(
     row: dict[str, Value], valuation: Valuation, cross_vars: frozenset[str]
 ) -> bool:
     expected = {x: valuation[x] for x in cross_vars if x in valuation}

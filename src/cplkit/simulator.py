@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .denot import sat_table
 from .lang import (
@@ -53,8 +53,9 @@ from .monitor import (
     check_coherence,
     finish_event,
     init_monitor,
+    var_row_matches,
 )
-from .msc import EventKind, Msc, Valuation, Value, validate_msc, values_equal
+from .msc import EventKind, Msc, Valuation, Value, validate_msc
 from .rng import SplitMix64
 from .trace import TraceFormatError, dump_trace, encode_value, parse_trace
 
@@ -130,6 +131,9 @@ def load_scenario(source) -> Scenario:
     except TraceFormatError as exc:
         raise ScenarioError(str(exc)) from exc
 
+    for key in ("guards", "branches"):
+        if not isinstance(data.get(key, []), list):
+            raise ScenarioError(f"{key} must be a list")
     guard_texts: dict[int, str] = {}
     for i, entry in enumerate(data.get("guards", [])):
         if (
@@ -269,18 +273,11 @@ def _descriptor(m: Msc, e: int, guard_index: int | None, payloads) -> EventDescr
 
 
 def _snapshot(s: MonitorState) -> dict:
-    return {
-        "vc": dict(sorted(s.vc.items())),
-        "view": [
-            [b, i, v] for b in sorted(s.view) for i, v in enumerate(s.view[b])
-        ],
-        "var": [
-            [b, x, encode_value(v)]
-            for b in sorted(s.var)
-            for x, v in sorted(s.var[b].items())
-        ],
-        "store": {x: encode_value(v) for x, v in sorted(s.store.items())},
-    }
+    """The state's clock and tables in the wire encoding, plus its store."""
+    snap = MessagePayload(vc=s.vc, view=s.view, var=s.var).to_wire()
+    del snap["payload"]
+    snap["store"] = {x: encode_value(v) for x, v in sorted(s.store.items())}
+    return snap
 
 
 def run_scenario(
@@ -296,8 +293,8 @@ def run_scenario(
     """
     formulas, guard_index_of = sc.guard_formulas()
     for i, f in enumerate(formulas):
-        if f not in g.index:
-            raise ScenarioError(f"guard {i} is not part of the supplied guard set")
+        if i >= len(g.guard_pos) or g.sub[g.guard_pos[i]] != f:
+            raise ScenarioError(f"guard {i} is not guard {i} of the supplied guard set")
 
     m = sc.msc
     schedule = sample_linear_extension(m, seed)
@@ -326,7 +323,7 @@ def run_scenario(
                 json.dumps(payload.to_wire(), sort_keys=True, separators=(",", ":"))
             )
         if gidx is not None:
-            verdict = state.last_vals[gidx]
+            verdict = state.vals[g.guard_pos[gidx]]
             record["verdict"] = verdict
             if e in branches:
                 then_frag, else_frag = branches.pop(e)
@@ -731,13 +728,7 @@ def _post_update_invariants(
         target = by_lifeline[b][k - 1]
         if state.view[b] != rows[target]:
             bad.append(f"view row for {b} differs from event {target}")
-        expected_vars = {
-            x: m.val[target][x] for x in g.cross_vars if x in m.val[target]
-        }
-        row = state.var[b]
-        if set(row) != set(expected_vars) or not all(
-            values_equal(row[x], expected_vars[x]) for x in row
-        ):
+        if not var_row_matches(state.var[b], m.val[target], g.cross_vars):
             bad.append(f"value row for {b} differs from event {target}")
     return bad
 
@@ -830,7 +821,7 @@ def fuzz_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         args = [
-            (_params_with_seed(base, s), extensions, mutation, not keep_going)
+            (replace(base, seed=s), extensions, mutation, not keep_going)
             for s in derived
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -842,7 +833,7 @@ def fuzz_sweep(
     else:
         for s in derived:
             part = fuzz_instance(
-                _params_with_seed(base, s), extensions, mutation, not keep_going
+                replace(base, seed=s), extensions, mutation, not keep_going
             )
             _merge(total, part)
             if not keep_going and not total.ok:
@@ -850,19 +841,6 @@ def fuzz_sweep(
 
     total.elapsed = time.monotonic() - started
     return total
-
-
-def _params_with_seed(base: FuzzParams, seed: int) -> FuzzParams:
-    return FuzzParams(
-        lifelines=base.lifelines,
-        events_per_lifeline=base.events_per_lifeline,
-        message_prob=base.message_prob,
-        var_alphabet=base.var_alphabet,
-        value_alphabet=base.value_alphabet,
-        formula_depth=base.formula_depth,
-        formula_count=base.formula_count,
-        seed=seed,
-    )
 
 
 def _fuzz_instance_star(args) -> FuzzSummary:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cplkit.cli import main
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
@@ -127,6 +129,18 @@ def test_simulate_rejects_bad_scenarios(capsys, tmp_path):
                                "messages": [], "guards": [{"oops": 1}]}))
     code, _, err = run(capsys, "simulate", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("key, value", [("guards", 5), ("branches", 7)])
+def test_non_list_guards_or_branches_exit_2(capsys, tmp_path, command, key, value):
+    data = json.loads(fixture_path("merge_review").read_text())
+    data[key] = value
+    bad = tmp_path / "sc.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(bad))
+    assert code == 2 and f"{key} must be a list" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------- #

@@ -3,6 +3,8 @@
 import pytest
 
 from cplkit.lang import (
+    CORE_NODES,
+    OPCODES,
     And,
     At,
     Atom,
@@ -17,6 +19,7 @@ from cplkit.lang import (
     Seen,
     Since,
     Truth,
+    Yesterday,
     children,
     close_guards,
     expand_derived,
@@ -254,3 +257,56 @@ def test_literal_tags_stay_distinct_in_closure():
     b = Atom("==", LocalVar("x"), Lit(True))
     gs = close_guards([a, b])
     assert len(gs.sub) == 2
+
+
+# ---------------------------------------------------------------------- #
+# evaluation plan
+# ---------------------------------------------------------------------- #
+
+def random_guard_sets(seed, count=200):
+    rng = SplitMix64(seed)
+    p = FuzzParams()
+    for _ in range(count):
+        yield close_guards([
+            expand_derived(
+                random_formula(rng, rng.randint(0, 4), LIFELINES, p), LIFELINES
+            )
+            for _ in range(3)
+        ])
+
+
+def test_plan_children_precede_their_step():
+    for gs in random_guard_sets(91):
+        assert len(gs.plan) == len(gs.sub)
+        for i, (op, a, b) in enumerate(gs.plan):
+            kids = [x for x in (a, b) if type(x) is int]
+            assert all(0 <= k < i for k in kids), (i, gs.plan[i])
+            assert kids == [gs.index[c] for c in children(gs.sub[i])]
+
+
+def test_each_core_constructor_has_one_opcode():
+    assert set(OPCODES) == set(CORE_NODES)
+    assert len(set(OPCODES.values())) == len(OPCODES)
+    for gs in random_guard_sets(92, count=50):
+        for f, (op, a, b) in zip(gs.sub, gs.plan):
+            assert op == OPCODES[type(f)]
+            if isinstance(f, Atom):
+                assert a is f and b is None
+            if isinstance(f, At):
+                assert b == f.lifeline
+
+
+def test_plan_operands_by_constructor():
+    x = Atom("==", LocalVar("x"), Lit(1))
+    gs = close_guards([
+        Since(Truth(), x), At("A", Yesterday(x)), Or(Not(x), And(x, Truth()))
+    ])
+    steps = dict(zip(gs.sub, gs.plan))
+    pos = gs.index
+    assert steps[x] == ("atom", x, None)
+    assert steps[Truth()] == ("true", None, None)
+    assert steps[Since(Truth(), x)] == ("S", pos[Truth()], pos[x])
+    assert steps[Yesterday(x)] == ("Y", pos[x], None)
+    assert steps[At("A", Yesterday(x))] == ("at", pos[Yesterday(x)], "A")
+    assert steps[And(x, Truth())] == ("and", pos[x], pos[Truth()])
+    assert gs.guard_pos == tuple(pos[f] for f in gs.formulas)

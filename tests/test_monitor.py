@@ -309,6 +309,48 @@ def test_self_row_untouched_by_receive_merge():
                 payloads[e] = pay
 
 
+MUTATION_CHARTS = {
+    # B receives A's fresher row; joining clocks first skips the copy.
+    "swap-merge-order": (
+        ("A", "B"),
+        [ev(0, "A", "act", vars_of(x=1)), ev(1, "A", "send", vars_of(x=1), to="B"),
+         ev(2, "B", "recv")],
+        [(1, 2)],
+        "at(A, Here.x == 1)",
+        2,
+    ),
+    # at(A, f) on A must read f at the current event, not the previous one.
+    "strict-at": (
+        ("A",),
+        [ev(0, "A", "act", vars_of(x=1)), ev(1, "A", "act", vars_of(x=0))],
+        [],
+        "at(A, Here.x == 1)",
+        1,
+    ),
+    # Y(f) must read the previous event's value of f, not this event's.
+    "live-old": (
+        ("A",),
+        [ev(0, "A", "act", vars_of(x=1)), ev(1, "A", "act", vars_of(x=0))],
+        [],
+        "Y(Here.x == 1)",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATION_CHARTS))
+def test_each_mutation_diverges_from_sat_table(mutation):
+    lifelines, events, messages, guard, event = MUTATION_CHARTS[mutation]
+    m = load_trace(chart(lifelines, events, succ=[(0, 1)], messages=messages))
+    gs = guards_of(guard, lifelines=lifelines)
+    ext = sample_linear_extension(m, 0)
+    assert differential_check(m, gs, ext).ok
+    broken = differential_check(m, gs, ext, mutation=mutation)
+    assert (event, gs.guard_pos[0]) in {
+        (r["event"], r["sub_index"]) for r in broken.mismatches
+    }
+
+
 def test_copy_before_join_order_is_load_bearing():
     """Joining clocks before copying rows must diverge from the oracle on a
     chart where a receive carries fresher remote state."""
@@ -355,6 +397,53 @@ def test_payload_wire_validates_presence():
         MessagePayload.from_wire(
             {"vc": {"A": 1}, "view": [["A", 0, True]], "var": [], "payload": ""}, 2
         )
+
+
+def wire(vc=None, view=(), var=()):
+    return {"vc": {"A": 1} if vc is None else vc, "view": list(view),
+            "var": list(var), "payload": ""}
+
+
+def test_payload_wire_rejects_non_boolean_view_values():
+    with pytest.raises(MonitorError, match="bad view entry"):
+        MessagePayload.from_wire(wire(view=[["A", 0, "false"]]), 1)
+
+
+def test_payload_wire_rejects_negative_view_index():
+    with pytest.raises(MonitorError, match="bad view entry"):
+        MessagePayload.from_wire(wire(view=[["A", 0, True], ["A", -1, True]]), 1)
+
+
+def test_payload_wire_rejects_view_index_out_of_range():
+    with pytest.raises(MonitorError, match="bad view entry"):
+        MessagePayload.from_wire(wire(view=[["A", 0, True], ["A", 1, True]]), 1)
+
+
+def test_payload_wire_rejects_non_integer_clock():
+    with pytest.raises(MonitorError, match="natural number"):
+        MessagePayload.from_wire(wire(vc={"A": "x"}), 1)
+
+
+def test_payload_wire_rejects_negative_clock():
+    with pytest.raises(MonitorError, match="natural number"):
+        MessagePayload.from_wire(wire(vc={"A": -1}), 1)
+
+
+def test_payload_wire_rejects_malformed_tables():
+    for data in (None, {"vc": []}, wire(view=[["A", 0]]), {**wire(), "view": {}},
+                 wire(var=[["A", 1, {"int": 1}]]), wire(var=[["A", "x", 1]])):
+        with pytest.raises(MonitorError):
+            MessagePayload.from_wire(data, 1)
+
+
+def test_receive_ahead_without_view_row_is_a_monitor_error():
+    gs = guards_of("Here.x == 1", lifelines=("A", "B"))
+    s = init_monitor("B", gs, ("A", "B"))
+    incoming = MessagePayload(vc={"A": 1}, view={}, var={})
+    d = EventDescriptor(kind=EventKind("recv"), store_after={}, incoming=incoming)
+    with pytest.raises(MonitorError, match="no view row"):
+        begin_event(s, d)
+    assert s.vc == {"A": 0, "B": 0} and s.view == {}
 
 
 def test_emitted_payload_is_a_deep_snapshot():

@@ -451,3 +451,11 @@ def test_fuzz_sweep_aggregates_and_replays():
         s2.events_checked,
         s2.pairs_checked,
     )
+
+
+@pytest.mark.parametrize("key, value", [("guards", 5), ("branches", 7), ("guards", {})])
+def test_scenario_guards_and_branches_must_be_lists(key, value):
+    data = json.loads(fixture_path("merge_review").read_text())
+    data[key] = value
+    with pytest.raises(ScenarioError, match=f"{key} must be a list"):
+        load_scenario(data)
