@@ -27,7 +27,7 @@ from .simulator import (
     run_scenario,
 )
 from .rng import SplitMix64
-from .trace import TraceFormatError, encode_value, load_trace
+from .trace import TraceFormatError, encode_value, load_trace, read_json
 
 
 def _emit(payload, pretty: bool, out: str | None = None) -> None:
@@ -49,8 +49,7 @@ def _fail(message: str) -> int:
 
 def _load_chart_and_guards(path: str):
     """Accept a plain trace or a scenario file (a trace plus guards)."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict) and ("guards" in data or "branches" in data):
         sc = load_scenario(data)
         return sc.msc, [sc.guard_texts[eid] for eid in sorted(sc.guard_texts)]
@@ -71,7 +70,7 @@ def _default_seed(arg_seed: int | None) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         m, embedded = _load_chart_and_guards(args.trace)
-    except (OSError, json.JSONDecodeError, TraceFormatError, ScenarioError) as exc:
+    except (OSError, TraceFormatError, ScenarioError) as exc:
         return _fail(str(exc))
     report = validate_msc(m)
     if not report.ok:
@@ -85,7 +84,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                     line = line.strip()
                     if line and not line.startswith("#"):
                         texts.append(line)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(str(exc))
     if not texts:
         texts = embedded
@@ -177,7 +176,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     try:
         m, _ = _load_chart_and_guards(args.trace)
-    except (OSError, json.JSONDecodeError, TraceFormatError, ScenarioError) as exc:
+    except (OSError, TraceFormatError, ScenarioError) as exc:
         return _fail(str(exc))
     report = validate_msc(m)
     if not report.ok:

@@ -356,26 +356,33 @@ def check_coherence(
     e: int | None,
     denot_rows: dict[int, tuple[bool, ...]] | None = None,
     counts: dict[str, int] | None = None,
+    phase: str = "pre",
 ) -> CoherenceReport:
     """Does this state correctly describe the causal past of ``e``?
 
-    The state is expected mid-update, after :func:`begin_event` for ``e``
-    and before :func:`finish_event` (the clock already counts ``e``).
-    Checks, per condition:
+    In phase ``"pre"`` the state is expected mid-update, after
+    :func:`begin_event` for ``e`` and before :func:`finish_event` (the
+    clock already counts ``e``). Checks, per condition:
 
       (i)   each clock component equals the number of that lifeline's
             events causally below ``e``;
-      (ii)  for every other lifeline, view/value rows exist exactly when
-            the clock is positive and then describe its latest visible
-            event;
+      (ii)  for every other lifeline whose clock is right, view/value rows
+            exist exactly when the clock is positive and then describe its
+            latest visible event;
       (iii) the store induces the event's valuation on monitored
             variables, and the local value row mirrors it;
       (iv)  the previous-event snapshot holds the subformula values at the
             previous local event (all false when there is none).
 
+    In phase ``"post"``, after :func:`finish_event`, only (i) and (ii)
+    are checked, (ii) over every lifeline: the own rows must describe
+    ``e`` itself.
+
     ``e=None`` checks the empty-prefix base case of a fresh monitor.
     ``denot_rows``/``counts`` let callers reuse precomputed oracle data.
     """
+    if phase not in ("pre", "post"):
+        raise MonitorError(f"unknown coherence phase {phase!r}")
     gs = s.guards
     if e is None:
         zero = all(n == 0 for n in s.vc.values())
@@ -408,9 +415,9 @@ def check_coherence(
 
     ii_bad: list[str] = []
     for b in m.lifelines:
-        if b == s.me:
-            continue
         k = s.vc.get(b, 0)
+        if (b == s.me and phase == "pre") or k != counts[b]:
+            continue  # a wrong clock is reported under (i)
         has_view, has_var = b in s.view, b in s.var
         if k == 0:
             if has_view or has_var:
@@ -424,6 +431,12 @@ def check_coherence(
             ii_bad.append(f"{b}: view row differs from event {target}")
         if not var_row_matches(s.var[b], m.val[target], gs.cross_vars):
             ii_bad.append(f"{b}: value row differs from event {target}")
+    conditions = {
+        "i": (not i_bad, "; ".join(i_bad)),
+        "ii": (not ii_bad, "; ".join(ii_bad)),
+    }
+    if phase == "post":
+        return CoherenceReport(conditions)
 
     iii_bad: list[str] = []
     nu = m.val[e]
@@ -437,14 +450,9 @@ def check_coherence(
     expected_old = denot_rows[prev] if prev is not None else (False,) * len(gs.sub)
     iv_bad = [] if s.old == expected_old else ["previous-event snapshot is wrong"]
 
-    return CoherenceReport(
-        {
-            "i": (not i_bad, "; ".join(i_bad)),
-            "ii": (not ii_bad, "; ".join(ii_bad)),
-            "iii": (not iii_bad, "; ".join(iii_bad)),
-            "iv": (not iv_bad, "; ".join(iv_bad)),
-        }
-    )
+    conditions["iii"] = (not iii_bad, "; ".join(iii_bad))
+    conditions["iv"] = (not iv_bad, "; ".join(iv_bad))
+    return CoherenceReport(conditions)
 
 
 def var_row_matches(

@@ -16,7 +16,7 @@ integer comparison.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass, field
 
 #: Stored values are plain tagged scalars. Tags never coerce: an integer 1
@@ -80,7 +80,7 @@ class Msc:
     msg: dict[int, int]
 
     # Lazy per-chart analysis, built on first causal query (valid charts only).
-    _by_lifeline: dict[str, list[int]] | None = field(
+    _by_lifeline: dict[str, tuple[int, ...]] | None = field(
         default=None, repr=False, compare=False
     )
     _local_idx: dict[int, int] | None = field(default=None, repr=False, compare=False)
@@ -137,7 +137,7 @@ class Msc:
         """Events of lifeline ``b`` in local order."""
         self._check_lifeline(b)
         self._ensure_analysis()
-        return tuple(self._by_lifeline[b])
+        return self._by_lifeline[b]
 
     def matching_send(self, r: int) -> int | None:
         """The send matched to receive event ``r``, if any."""
@@ -184,21 +184,20 @@ class Msc:
     def _ensure_analysis(self) -> None:
         if self._vts is not None:
             return
-        by_lifeline = self._local_chains()
-        local_idx: dict[int, int] = {}
-        for chain in by_lifeline.values():
-            for i, e in enumerate(chain):
-                local_idx[e] = i + 1
+        chains, broken = local_chains(self)
+        if broken:
+            raise MscError(f"lifeline {broken[0]!r} is not a single chain")
+        by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
+        local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
         msg_rev = {r: s for s, r in self.msg.items()}
+        order = topological_order(self)
+        if len(order) != len(self.events):
+            raise MscError("event graph is cyclic")
 
         vts: dict[int, dict[str, int]] = {}
-        for e in self._topo_order():
-            ts: dict[str, int] = {}
-            prev = None
+        for e in order:
             k = local_idx[e]
-            if k > 1:
-                prev = by_lifeline[self.pid[e]][k - 2]
-                ts.update(vts[prev])
+            ts = dict(vts[by_lifeline[self.pid[e]][k - 2]]) if k > 1 else {}
             if self.kind[e].tag == "recv" and e in msg_rev:
                 for b, n in vts[msg_rev[e]].items():
                     if n > ts.get(b, 0):
@@ -211,52 +210,60 @@ class Msc:
         self._msg_rev = msg_rev
         self._vts = vts
 
-    def _local_chains(self) -> dict[str, list[int]]:
-        """Reconstruct each lifeline's event chain from ``succ``; raises on
-        charts where the chain structure is broken (validate first)."""
-        members: dict[str, list[int]] = {b: [] for b in self.lifelines}
-        for e in self.events:
-            members[self.pid[e]].append(e)
-        has_pred = set(self.succ.values())
-        chains: dict[str, list[int]] = {}
-        for b, evs in members.items():
-            if not evs:
-                chains[b] = []
-                continue
-            heads = [e for e in evs if e not in has_pred]
-            if len(heads) != 1:
-                raise MscError(f"lifeline {b!r} is not a single chain")
-            chain = [heads[0]]
-            seen = {heads[0]}
-            while chain[-1] in self.succ:
-                nxt = self.succ[chain[-1]]
-                if nxt in seen:
-                    raise MscError(f"local successor cycle on lifeline {b!r}")
-                chain.append(nxt)
-                seen.add(nxt)
-            if len(chain) != len(evs):
-                raise MscError(f"lifeline {b!r} is not a single chain")
-            chains[b] = chain
-        return chains
 
-    def _topo_order(self) -> list[int]:
-        indeg = {e: 0 for e in self.events}
-        out: dict[int, list[int]] = {e: [] for e in self.events}
-        for src, dst in list(self.succ.items()) + list(self.msg.items()):
-            out[src].append(dst)
-            indeg[dst] += 1
-        ready = deque(sorted(e for e in self.events if indeg[e] == 0))
-        order: list[int] = []
-        while ready:
-            e = ready.popleft()
-            order.append(e)
-            for f in out[e]:
-                indeg[f] -= 1
-                if indeg[f] == 0:
-                    ready.append(f)
-        if len(order) != len(self.events):
-            raise MscError("event graph is cyclic")
-        return order
+# ---------------------------------------------------------------------- #
+# Chart passes, shared by the analysis, the validator and the scheduler
+# ---------------------------------------------------------------------- #
+
+def local_chains(m: Msc) -> tuple[dict[str, list[int]], list[str]]:
+    """Walk each lifeline's ``succ`` chain from its one head, in
+    O(events + |succ|). Returns the chains and the lifelines whose events
+    do not form a single chain (no unique head, or a walk that stops
+    before covering them); their chains are partial."""
+    members: dict[str, list[int]] = {b: [] for b in m.lifelines}
+    for e in m.events:
+        members.setdefault(m.pid[e], []).append(e)
+    has_pred = set(m.succ.values())
+    chains: dict[str, list[int]] = {}
+    broken: list[str] = []
+    for b, evs in members.items():
+        heads = [e for e in evs if e not in has_pred]
+        chain = heads[:1]
+        seen = set(chain)
+        while chain and chain[-1] in m.succ:
+            nxt = m.succ[chain[-1]]
+            if nxt in seen or m.pid.get(nxt) != b:
+                break
+            chain.append(nxt)
+            seen.add(nxt)
+        if evs and (len(heads) != 1 or len(chain) != len(evs)):
+            broken.append(b)
+        chains[b] = chain
+    return chains, broken
+
+
+def topological_order(m: Msc, pick=None) -> list[int]:
+    """Kahn's algorithm over the successor and message edges; edges with
+    an unknown end are skipped. The ready list is kept sorted and
+    ``pick(n)`` chooses which of its ``n`` events goes next (default: the
+    smallest id). On a cyclic graph the order misses the cycle's events."""
+    indeg = dict.fromkeys(m.events, 0)
+    out: dict[int, list[int]] = {e: [] for e in m.events}
+    for edges in (m.succ, m.msg):
+        for src, dst in edges.items():
+            if src in indeg and dst in indeg:
+                out[src].append(dst)
+                indeg[dst] += 1
+    ready = sorted(e for e, n in indeg.items() if n == 0)
+    order: list[int] = []
+    while ready:
+        e = ready.pop(pick(len(ready)) if pick else 0)
+        order.append(e)
+        for f in out[e]:
+            indeg[f] -= 1
+            if indeg[f] == 0:
+                insort(ready, f)
+    return order
 
 
 # ---------------------------------------------------------------------- #
@@ -300,36 +307,22 @@ def validate_msc(m: Msc) -> MscReport:
                 Violation("i", "local successor edge crosses lifelines", (src, dst))
             )
 
-    # (ii): within each lifeline, in/out degree <= 1 and one covering chain.
-    indeg: dict[int, int] = {e: 0 for e in m.events}
-    for src, dst in m.succ.items():
-        indeg[dst] = indeg.get(dst, 0) + 1
-    for e, n in sorted(indeg.items()):
+    # (ii): in/out degree <= 1 (out-degree holds by ``succ`` being a map)
+    # and, per lifeline, one chain covering its events.
+    preds: dict[int, int] = {}
+    for dst in m.succ.values():
+        preds[dst] = preds.get(dst, 0) + 1
+    for e, n in sorted(preds.items()):
         if n > 1:
             bad.append(Violation("ii", "event has two local predecessors", (e,)))
-    for b in m.lifelines:
-        evs = [e for e in m.events if m.pid[e] == b]
-        if not evs:
-            continue
-        edges = {
-            s: d for s, d in m.succ.items() if m.pid.get(s) == b and m.pid.get(d) == b
-        }
-        heads = [e for e in evs if indeg.get(e, 0) == 0]
-        covered: set[int] = set()
-        for h in heads:
-            cur = h
-            covered.add(cur)
-            while cur in edges and edges[cur] not in covered:
-                cur = edges[cur]
-                covered.add(cur)
-        if len(heads) != 1 or covered != set(evs):
-            bad.append(
-                Violation(
-                    "ii",
-                    f"events of lifeline {b!r} do not form a single chain",
-                    tuple(sorted(evs)),
-                )
+    for b in local_chains(m)[1]:
+        bad.append(
+            Violation(
+                "ii",
+                f"events of lifeline {b!r} do not form a single chain",
+                tuple(sorted(e for e in m.events if m.pid[e] == b)),
             )
+        )
 
     recv_matches: dict[int, int] = {}
     for s, r in sorted(m.msg.items()):
@@ -355,26 +348,7 @@ def validate_msc(m: Msc) -> MscReport:
         if m.kind[e].tag == "recv" and e not in recv_matches:
             bad.append(Violation("iii", "receive event has no matching send", (e,)))
 
-    if _has_cycle(m):
+    if len(topological_order(m)) != len(m.events):
         bad.append(Violation("iv", "successor/message graph is cyclic"))
 
     return MscReport(tuple(bad))
-
-
-def _has_cycle(m: Msc) -> bool:
-    indeg = {e: 0 for e in m.events}
-    out: dict[int, list[int]] = {e: [] for e in m.events}
-    for src, dst in list(m.succ.items()) + list(m.msg.items()):
-        if src in indeg and dst in indeg:
-            out[src].append(dst)
-            indeg[dst] += 1
-    ready = deque(e for e in m.events if indeg[e] == 0)
-    seen = 0
-    while ready:
-        e = ready.popleft()
-        seen += 1
-        for f in out[e]:
-            indeg[f] -= 1
-            if indeg[f] == 0:
-                ready.append(f)
-    return seen != len(m.events)

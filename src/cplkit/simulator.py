@@ -53,11 +53,10 @@ from .monitor import (
     check_coherence,
     finish_event,
     init_monitor,
-    var_row_matches,
 )
-from .msc import EventKind, Msc, Valuation, Value, validate_msc
+from .msc import EventKind, Msc, Valuation, Value, topological_order, validate_msc
 from .rng import SplitMix64
-from .trace import TraceFormatError, dump_trace, encode_value, parse_trace
+from .trace import TraceFormatError, decode_event, encode_value, parse_trace, read_json
 
 
 class ScenarioError(Exception):
@@ -73,8 +72,8 @@ class Fragment:
     """A branch continuation: extra events appended to the owner lifeline.
 
     Events are chained in list order after the owner's current last event.
-    They may send (the messages stay in transit within the run) but may
-    not receive, since no payload could be routed to them.
+    They may send to another lifeline (the messages stay in transit within
+    the run) but may not receive, since no payload could be routed to them.
     """
 
     events: list[dict]  # raw event objects in the trace schema
@@ -110,14 +109,7 @@ _SCENARIO_KEYS = {"lifelines", "events", "succ", "messages", "guards", "branches
 def load_scenario(source) -> Scenario:
     """Load a scenario file: the trace schema plus ``guards`` and
     optional ``branches``."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"invalid JSON: {exc}") from exc
+    data = source if isinstance(source, dict) else read_json(source, ScenarioError)
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(data) - _SCENARIO_KEYS
@@ -153,6 +145,7 @@ def load_scenario(source) -> Scenario:
         if (
             not isinstance(entry, dict)
             or set(entry) != {"choice_event_id", "then", "else"}
+            or type(entry["choice_event_id"]) is not int
         ):
             raise ScenarioError(
                 f"branches[{i}]: expected {{choice_event_id, then, else}}"
@@ -160,13 +153,18 @@ def load_scenario(source) -> Scenario:
         eid = entry["choice_event_id"]
         if eid not in guard_texts:
             raise ScenarioError(f"branches[{i}]: event {eid} has no guard")
+        if eid in branches:
+            raise ScenarioError(f"branches[{i}]: duplicate branch for event {eid}")
         branches[eid] = (
             _parse_fragment(entry["then"], i, "then"),
             _parse_fragment(entry["else"], i, "else"),
         )
 
+    report = validate_msc(msc)
+    if not report.ok:
+        raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
     sc = Scenario(msc=msc, guard_texts=guard_texts, branches=branches)
-    _check_scenario(sc)
+    _decode_branches(sc)
     return sc
 
 
@@ -176,29 +174,57 @@ def _parse_fragment(obj, i: int, arm: str) -> Fragment:
     events = obj.get("events", [])
     if not isinstance(events, list):
         raise ScenarioError(f"branches[{i}].{arm}: events must be a list")
-    for ev in events:
-        if isinstance(ev, dict) and ev.get("kind") == "recv":
-            raise ScenarioError(
-                f"branches[{i}].{arm}: receive events are not allowed in continuations"
-            )
     return Fragment(events=list(events))
 
 
-def _check_scenario(sc: Scenario) -> None:
-    report = validate_msc(sc.msc)
-    if not report.ok:
-        raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
+#: A decoded continuation event: id, lifeline, kind and valuation.
+Decoded = tuple[int, str, EventKind, Valuation]
+
+
+def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decoded]]]:
+    """Decode every continuation once and check that appending any arm
+    keeps the chart well-formed. Each event must be an object of the trace
+    schema, not a receive, with an id used by no chart event and no other
+    continuation event, on the lifeline of the choice that takes its
+    branch (for choices inside continuations too). Guards must sit on
+    choice events of the chart or of a continuation. Returns the decoded
+    ``(then, else)`` events per branching choice."""
+    lifelines = set(sc.msc.lifelines)
+    pid, kind = dict(sc.msc.pid), dict(sc.msc.kind)
+    decoded: dict[int, tuple[list[Decoded], list[Decoded]]] = {}
+    for c, frags in sc.branches.items():
+        decoded[c] = ([], [])
+        for arm, frag, out in zip(("then", "else"), frags, decoded[c]):
+            for i, ev in enumerate(frag.events):
+                where = f"branch at event {c}, {arm}[{i}]"
+                try:
+                    eid, b, k, v = decode_event(ev, where, lifelines)
+                    if eid in kind:
+                        raise TraceFormatError(f"{where}: duplicate event id {eid}")
+                except TraceFormatError as exc:
+                    raise ScenarioError(
+                        f"continuation breaks the trace format: {exc}"
+                    ) from exc
+                if k.tag == "recv":
+                    raise ScenarioError(
+                        f"{where}: receive events are not allowed in continuations"
+                    )
+                pid[eid], kind[eid] = b, k
+                out.append((eid, b, k, v))
     for eid in sc.guard_texts:
-        if eid not in sc.msc.kind:
-            # Guards may also target events declared inside branch fragments.
-            if not any(
-                any(ev.get("id") == eid for ev in frag.events)
-                for arms in sc.branches.values()
-                for frag in arms
-            ):
-                raise ScenarioError(f"guard references unknown event {eid}")
-        elif sc.msc.kind[eid].tag != "choice":
+        if eid not in kind:
+            raise ScenarioError(f"guard references unknown event {eid}")
+        if kind[eid].tag != "choice":
             raise ScenarioError(f"guard on non-choice event {eid}")
+    for c, arms in decoded.items():
+        if c not in pid:
+            raise ScenarioError(f"branch at unknown event {c}")
+        for eid, b, _, _ in arms[0] + arms[1]:
+            if b != pid[c]:
+                raise ScenarioError(
+                    f"continuation event {eid} is not on the owner lifeline {pid[c]!r}"
+                )
+    return decoded
 
 
 # ---------------------------------------------------------------------- #
@@ -209,24 +235,7 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
     """One schedule of the chart, uniform among ready events at each step,
     deterministic per seed."""
     rng = SplitMix64(seed)
-    indeg = {e: 0 for e in m.events}
-    out: dict[int, list[int]] = {e: [] for e in m.events}
-    for src, dst in list(m.succ.items()) + list(m.msg.items()):
-        out[src].append(dst)
-        indeg[dst] += 1
-    ready = sorted(e for e in m.events if indeg[e] == 0)
-    order: list[int] = []
-    while ready:
-        e = ready.pop(rng.randint(0, len(ready) - 1))
-        order.append(e)
-        grew = False
-        for f in out[e]:
-            indeg[f] -= 1
-            if indeg[f] == 0:
-                ready.append(f)
-                grew = True
-        if grew:
-            ready.sort()
+    order = topological_order(m, lambda n: rng.randint(0, n - 1))
     if len(order) != len(m.events):
         raise ScenarioError("chart is cyclic; cannot schedule")
     return order
@@ -291,6 +300,7 @@ def run_scenario(
     a separate argument because every monitor in a run must share one
     closed set and callers may have built it already.
     """
+    arms_of = _decode_branches(sc)
     formulas, guard_index_of = sc.guard_formulas()
     for i, f in enumerate(formulas):
         if i >= len(g.guard_pos) or g.sub[g.guard_pos[i]] != f:
@@ -302,7 +312,6 @@ def run_scenario(
     payloads: dict[int, MessagePayload] = {}
     records: list[dict] = []
     order: list[int] = []
-    branches = dict(sc.branches)
 
     queue = list(schedule)
     pos = 0
@@ -325,11 +334,10 @@ def run_scenario(
         if gidx is not None:
             verdict = state.vals[g.guard_pos[gidx]]
             record["verdict"] = verdict
-            if e in branches:
-                then_frag, else_frag = branches.pop(e)
-                frag = then_frag if verdict else else_frag
-                m, new_ids = _append_fragment(m, owner, frag)
-                queue.extend(new_ids)
+            if e in arms_of:
+                arm = arms_of[e][0 if verdict else 1]
+                m = _append_arm(m, owner, arm)
+                queue.extend(eid for eid, _, _, _ in arm)
         records.append(record)
 
     log = RunLog(
@@ -343,42 +351,27 @@ def run_scenario(
     return log
 
 
-def _append_fragment(m: Msc, owner: str, frag: Fragment) -> tuple[Msc, list[int]]:
-    """Compose a continuation onto the owner lifeline; returns the new chart
-    and the appended event ids in local order."""
-    data = dump_trace(m)
-    new_ids: list[int] = []
-    last_owner = None
-    chain = [e for e in data["events"] if e["lifeline"] == owner]
-    if chain:
-        owner_ids = [e["id"] for e in chain]
-        tails = [i for i in owner_ids if all(pair[0] != i for pair in data["succ"])]
-        last_owner = tails[0] if tails else None
-
-    for ev in frag.events:
-        if not isinstance(ev, dict):
-            raise ScenarioError("continuation event must be an object")
-        if ev.get("lifeline") != owner:
-            raise ScenarioError("continuation event is not on the owner lifeline")
-        data["events"].append(ev)
-        eid = ev.get("id")
-        if type(eid) is not int:
-            raise ScenarioError("continuation event needs an integer id")
-        if last_owner is not None:
-            data["succ"].append([last_owner, eid])
-        last_owner = eid
-        new_ids.append(eid)
-
-    try:
-        composed = parse_trace(data)
-    except TraceFormatError as exc:
-        raise ScenarioError(f"continuation breaks the trace format: {exc}") from exc
-    report = validate_msc(composed)
-    if not report.ok:
-        raise ScenarioError(
-            f"continuation breaks chart well-formedness: {report.violations}"
-        )
-    return composed, new_ids
+def _append_arm(m: Msc, owner: str, arm: list[Decoded]) -> Msc:
+    """A new chart: ``m`` with the arm's events chained after the owner's
+    last event. It is well-formed because ``m`` is and the arm passed
+    :func:`_decode_branches`."""
+    kind, pid, val, succ = dict(m.kind), dict(m.pid), dict(m.val), dict(m.succ)
+    chain = m.events_of(owner)
+    prev = chain[-1] if chain else None
+    for eid, b, k, v in arm:
+        kind[eid], pid[eid], val[eid] = k, b, v
+        if prev is not None:
+            succ[prev] = eid
+        prev = eid
+    return Msc(
+        lifelines=m.lifelines,
+        events=m.events + tuple(eid for eid, _, _, _ in arm),
+        kind=kind,
+        pid=pid,
+        val=val,
+        succ=succ,
+        msg=dict(m.msg),
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -632,10 +625,11 @@ def differential_check(
 
     * every subformula value the monitor computed equals the denotational
       truth at that event (exact Boolean equality),
-    * the monitor state was coherent before the evaluation phase,
+    * the monitor state was coherent before the evaluation phase
+      (:func:`~cplkit.monitor.check_coherence`, phase ``"pre"``),
     * after the update, clocks match BFS causal-past counts, view/value
       rows exist exactly for causally seen lifelines, and describe the
-      latest visible event of each.
+      latest visible event of each (the same checker, phase ``"post"``).
     """
     report = DifferentialReport()
     if not extension and not m.events:
@@ -651,7 +645,6 @@ def differential_check(
     for e in m.events:
         for f in past[e]:
             counts[e][m.pid[f]] += 1
-    by_lifeline = {b: m.events_of(b) for b in m.lifelines}
 
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
@@ -693,44 +686,13 @@ def differential_check(
             if fail_fast:
                 return report
 
-        bad = _post_update_invariants(state, m, e, counts[e], rows, by_lifeline, g)
-        if bad:
-            report.invariant_failures.append({"event": e, "failures": bad})
+        post = check_coherence(state, m, e, rows, counts[e], phase="post")
+        if not post.ok:
+            report.invariant_failures.append({"event": e, "failures": post.failures()})
             if fail_fast:
                 return report
 
     return report
-
-
-def _post_update_invariants(
-    state: MonitorState,
-    m: Msc,
-    e: int,
-    counts: dict[str, int],
-    rows: dict[int, tuple[bool, ...]],
-    by_lifeline: dict[str, tuple[int, ...]],
-    g: GuardSet,
-) -> list[str]:
-    """Post-update invariants: exact clocks, presence rule, row contents."""
-    bad: list[str] = []
-    for b in m.lifelines:
-        k = state.vc.get(b, 0)
-        if k != counts[b]:
-            bad.append(f"clock[{b}] = {k}, causal past has {counts[b]}")
-            continue
-        if k == 0:
-            if b in state.view or b in state.var:
-                bad.append(f"rows present for unseen lifeline {b}")
-            continue
-        if b not in state.view or b not in state.var:
-            bad.append(f"rows absent for seen lifeline {b}")
-            continue
-        target = by_lifeline[b][k - 1]
-        if state.view[b] != rows[target]:
-            bad.append(f"view row for {b} differs from event {target}")
-        if not var_row_matches(state.var[b], m.val[target], g.cross_vars):
-            bad.append(f"value row for {b} differs from event {target}")
-    return bad
 
 
 # ---------------------------------------------------------------------- #

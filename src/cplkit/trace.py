@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .msc import EventKind, Msc, Valuation, Value
+from .msc import EVENT_TAGS, EventKind, Msc, Valuation, Value
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -78,6 +78,36 @@ def decode_valuation(obj: object, where: str) -> Valuation:
     return out
 
 
+def decode_event(
+    ev: object, where: str, lifelines: set[str]
+) -> tuple[int, str, EventKind, Valuation]:
+    """One event object of the trace schema: its id, lifeline, kind and
+    valuation. A send must name a declared lifeline other than its own."""
+    if not isinstance(ev, dict):
+        raise TraceFormatError(f"{where}: must be an object")
+    unknown = set(ev) - _EVENT_KEYS
+    if unknown:
+        raise TraceFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    for key in ("id", "lifeline", "kind", "vars"):
+        if key not in ev:
+            raise TraceFormatError(f"{where}: missing key {key!r}")
+    eid, b, tag, receiver = ev["id"], ev["lifeline"], ev["kind"], ev.get("receiver")
+    if type(eid) is not int or eid < 0:
+        raise TraceFormatError(f"{where}: id must be a natural number")
+    if not isinstance(b, str) or b not in lifelines:
+        raise TraceFormatError(f"{where}: undeclared lifeline {b!r}")
+    if tag not in EVENT_TAGS:
+        raise TraceFormatError(f"{where}: unknown kind {tag!r}")
+    if tag == "send":
+        if not isinstance(receiver, str) or receiver not in lifelines or receiver == b:
+            raise TraceFormatError(
+                f"{where}: send needs a declared receiver other than its own lifeline"
+            )
+    elif receiver is not None:
+        raise TraceFormatError(f"{where}: receiver only allowed on send events")
+    return eid, b, EventKind(tag, receiver), decode_valuation(ev["vars"], where)
+
+
 def parse_trace(data: object) -> Msc:
     """Build a chart from already-parsed JSON; strict about the schema."""
     if not isinstance(data, dict):
@@ -103,37 +133,12 @@ def parse_trace(data: object) -> Msc:
     kind: dict[int, EventKind] = {}
     pid: dict[int, str] = {}
     val: dict[int, Valuation] = {}
-    ids: list[int] = []
     for i, ev in enumerate(data["events"]):
-        where = f"events[{i}]"
-        if not isinstance(ev, dict):
-            raise TraceFormatError(f"{where}: must be an object")
-        unknown = set(ev) - _EVENT_KEYS
-        if unknown:
-            raise TraceFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        for key in ("id", "lifeline", "kind", "vars"):
-            if key not in ev:
-                raise TraceFormatError(f"{where}: missing key {key!r}")
-        eid = ev["id"]
-        if type(eid) is not int or eid < 0:
-            raise TraceFormatError(f"{where}: id must be a natural number")
+        eid, pid_e, kind_e, val_e = decode_event(ev, f"events[{i}]", lifeline_set)
         if eid in kind:
-            raise TraceFormatError(f"{where}: duplicate event id {eid}")
-        if ev["lifeline"] not in lifeline_set:
-            raise TraceFormatError(f"{where}: undeclared lifeline {ev['lifeline']!r}")
-        tag = ev["kind"]
-        if tag not in ("act", "recv", "choice", "send"):
-            raise TraceFormatError(f"{where}: unknown kind {tag!r}")
-        receiver = ev.get("receiver")
-        if tag == "send":
-            if not isinstance(receiver, str) or receiver not in lifeline_set:
-                raise TraceFormatError(f"{where}: send needs a declared receiver")
-        elif receiver is not None:
-            raise TraceFormatError(f"{where}: receiver only allowed on send events")
-        kind[eid] = EventKind(tag, receiver)
-        pid[eid] = ev["lifeline"]
-        val[eid] = decode_valuation(ev["vars"], where)
-        ids.append(eid)
+            raise TraceFormatError(f"events[{i}]: duplicate event id {eid}")
+        kind[eid], pid[eid], val[eid] = kind_e, pid_e, val_e
+    ids = list(kind)
 
     succ = _decode_pairs(data["succ"], "succ", set(ids))
     msg = _decode_pairs(data["messages"], "messages", set(ids))
@@ -169,15 +174,19 @@ def _decode_pairs(obj: object, name: str, ids: set[int]) -> dict[int, int]:
     return out
 
 
+def read_json(path: str | Path, error: type[Exception] = TraceFormatError) -> object:
+    """Parse a UTF-8 JSON file; undecodable bytes or bad JSON raise ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"invalid JSON: {exc}") from exc
+
+
 def load_trace(source: str | Path | dict) -> Msc:
     """Load a chart from a file path or an already-parsed JSON object."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"invalid JSON: {exc}") from exc
-        return parse_trace(data)
+        source = read_json(source)
     return parse_trace(source)
 
 

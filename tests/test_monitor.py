@@ -456,3 +456,28 @@ def test_emitted_payload_is_a_deep_snapshot():
     on_event(s, act({"x": 42}))
     on_event(s, act({}))
     assert json.dumps(payload.to_wire(), sort_keys=True) == before
+
+
+# ---------------------------------------------------------------------- #
+# check_coherence after the update
+# ---------------------------------------------------------------------- #
+
+def test_post_phase_checks_clocks_and_rows_of_every_lifeline():
+    m = load_trace(chart(LIFELINES, [ev(0, "A", "act", vars_of(x=1))]))
+    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    d = act({"x": 1})
+    begin_event(s, d)
+    finish_event(s, d)
+    rep = check_coherence(s, m, 0, phase="post")
+    assert rep.ok and set(rep.conditions) == {"i", "ii"}
+    s.view["A"] = tuple(not v for v in s.view["A"])  # the own row is checked too
+    rep = check_coherence(s, m, 0, phase="post")
+    assert not rep.conditions["ii"][0] and rep.conditions["i"][0]
+    assert check_coherence(s, m, 0).conditions["ii"][0]  # pre skips the own row
+
+
+def test_unknown_coherence_phase_is_rejected():
+    m = load_trace(chart(LIFELINES, [ev(0, "A", "act")]))
+    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    with pytest.raises(MonitorError, match="phase"):
+        check_coherence(s, m, 0, phase="during")

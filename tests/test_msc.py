@@ -6,6 +6,7 @@ import pytest
 
 from cplkit.fixtures import fixture_path
 from cplkit.msc import MscError, validate_msc
+from cplkit.msc import EventKind, Msc, local_chains, topological_order
 from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario
 from cplkit.trace import load_trace
 
@@ -296,3 +297,45 @@ def test_extension_count_matches_enumeration():
     }
     assert accepted == sorts
     assert len(sorts) > 1
+
+
+# ---------------------------------------------------------------------- #
+# The shared chart passes
+# ---------------------------------------------------------------------- #
+
+def test_topological_order_skips_unknown_edges_and_stops_at_cycles():
+    m = Msc(
+        lifelines=("A",),
+        events=(0, 1, 2),
+        kind={e: EventKind("act") for e in (0, 1, 2)},
+        pid={e: "A" for e in (0, 1, 2)},
+        val={e: {} for e in (0, 1, 2)},
+        succ={2: 1, 1: 0, 7: 2},
+        msg={0: 9},
+    )
+    assert topological_order(m) == [2, 1, 0]
+    m.succ[0] = 2  # closes a cycle
+    assert topological_order(m) == []
+    assert any(v.condition == "iv" for v in validate_msc(m).violations)
+
+
+def test_topological_order_picks_among_sorted_ready_events():
+    m = load_trace(chart(["A", "B", "C"], [ev(5, "A", "act"), ev(1, "B", "act"),
+                                           ev(3, "C", "act")]))
+    assert topological_order(m) == [1, 3, 5]
+    assert topological_order(m, lambda n: n - 1) == [5, 3, 1]
+
+
+def test_local_chains_report_broken_lifelines():
+    m = load_trace(
+        chart(
+            ["A", "B"],
+            [ev(0, "A", "act"), ev(1, "A", "act"), ev(2, "B", "act"), ev(3, "B", "act")],
+            succ=[(0, 1), (3, 2), (2, 3)],
+        )
+    )
+    chains, broken = local_chains(m)
+    assert chains["A"] == [0, 1] and broken == ["B"]
+    assert [v.condition for v in validate_msc(m).violations] == ["ii", "iv"]
+    with pytest.raises(MscError, match="not a single chain"):
+        m.causal_leq(0, 1)
