@@ -30,16 +30,21 @@ from .rng import SplitMix64
 from .trace import TraceFormatError, encode_value, load_trace, read_json
 
 
-def _emit(payload, pretty: bool, out: str | None = None) -> None:
+def _emit(payload, pretty: bool, out: str | None = None) -> int:
+    """Print the report, or write it to ``out``; returns the exit code."""
     if pretty:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if out:
+    if not out:
+        print(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        return _fail(str(exc))
+    return 0
 
 
 def _fail(message: str) -> int:
@@ -135,8 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             logs.append(run_scenario(sc, g, seed_rng.next_u64()).to_dict())
     except ScenarioError as exc:
         return _fail(str(exc))
-    _emit(logs[0] if args.extensions == 1 else logs, args.pretty, args.out)
-    return 0
+    return _emit(logs[0] if args.extensions == 1 else logs, args.pretty, args.out)
 
 
 # ---------------------------------------------------------------------- #

@@ -34,6 +34,7 @@ crosses monitors is an immutable payload snapshot.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .denot import compare_values, sat_table
@@ -69,14 +70,12 @@ class MessagePayload:
     payload: str = ""
 
     def to_wire(self) -> dict:
-        """JSON encoding: view/var tables as (lifeline, key, value) triples."""
+        """JSON encoding: each view row as a hex bitset (see
+        :func:`encode_row`), the value table as (lifeline, name, value)
+        triples."""
         return {
             "vc": dict(sorted(self.vc.items())),
-            "view": [
-                [b, i, v]
-                for b in sorted(self.view)
-                for i, v in enumerate(self.view[b])
-            ],
+            "view": {b: encode_row(self.view[b]) for b in sorted(self.view)},
             "var": [
                 [b, x, encode_value(v)]
                 for b in sorted(self.var)
@@ -87,7 +86,8 @@ class MessagePayload:
 
     @classmethod
     def from_wire(cls, data: dict, subformula_count: int) -> "MessagePayload":
-        """Inverse of :meth:`to_wire`; every malformed part raises
+        """Inverse of :meth:`to_wire` for a guard set of
+        ``subformula_count`` subformulas; every malformed part raises
         :class:`MonitorError`."""
         if not isinstance(data, dict) or not isinstance(data.get("vc"), dict):
             raise MonitorError("payload must be an object with a vc object")
@@ -95,18 +95,23 @@ class MessagePayload:
         for b, n in vc.items():
             if not isinstance(b, str) or type(n) is not int or n < 0:
                 raise MonitorError(f"clock of {b!r} is not a natural number: {n!r}")
-        rows: dict[str, list[bool | None]] = {}
-        for b, i, v in _triples(data, "view"):
-            if type(i) is not int or not 0 <= i < subformula_count or type(v) is not bool:
-                raise MonitorError(f"bad view entry {[b, i, v]!r}")
-            rows.setdefault(b, [None] * subformula_count)[i] = v
+        rows = data.get("view")
+        if not isinstance(rows, dict):
+            raise MonitorError("payload view must be an object of hex rows")
         view: dict[str, Row] = {}
-        for b, row in rows.items():
-            if any(v is None for v in row):
-                raise MonitorError(f"incomplete view row for lifeline {b!r}")
-            view[b] = tuple(row)
-        var: dict[str, dict[str, Value]] = {}
-        for b, x, v in _triples(data, "var"):
+        for b, text in rows.items():
+            if not isinstance(b, str):
+                raise MonitorError(f"view row key {b!r} is not a lifeline name")
+            view[b] = decode_row(text, subformula_count)
+        items = data.get("var")
+        if not isinstance(items, list) or not all(
+            isinstance(t, list) and len(t) == 3 and isinstance(t[0], str) for t in items
+        ):
+            raise MonitorError("payload var must be a list of [lifeline, name, value]")
+        # A lifeline's value row may be empty, which no triple shows; the
+        # sender had one wherever it had a view row.
+        var: dict[str, dict[str, Value]] = {b: {} for b in view}
+        for b, x, v in items:
             if not isinstance(x, str):
                 raise MonitorError(f"bad variable name {x!r} for {b!r}")
             try:
@@ -123,14 +128,28 @@ class MessagePayload:
         return payload
 
 
-def _triples(data: dict, key: str) -> list[list]:
-    """``data[key]`` as a list of ``[lifeline, key, value]`` triples."""
-    items = data.get(key)
-    if not isinstance(items, list) or not all(
-        isinstance(t, list) and len(t) == 3 and isinstance(t[0], str) for t in items
-    ):
-        raise MonitorError(f"payload {key} must be a list of [lifeline, key, value]")
-    return items
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_CANONICAL_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
+
+
+def encode_row(row: Row) -> str:
+    """A view row as one bitset, bit ``i`` being subformula ``i``, written
+    as canonical lowercase hex (a string, since JSON numbers this wide
+    lose precision in most readers)."""
+    return format(int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2), "x")
+
+
+def decode_row(text: object, width: int) -> Row:
+    """Inverse of :func:`encode_row` for rows of ``width`` subformulas.
+    Rejects non-strings, non-canonical hex (sign, ``0x``, ``_``,
+    whitespace, upper case, leading zeros) and bits at or above
+    ``width``."""
+    if not isinstance(text, str) or not _CANONICAL_HEX.fullmatch(text):
+        raise MonitorError(f"view row {text!r} is not canonical lowercase hex")
+    n = int(text, 16)
+    if n >> width:
+        raise MonitorError(f"view row {text!r} is wider than {width} subformulas")
+    return tuple(map("1".__eq__, bin(n | 1 << width)[:2:-1]))
 
 
 @dataclass

@@ -170,6 +170,54 @@ class Msc:
         return {b: ts.get(b, 0) for b in self.lifelines}
 
     # ------------------------------------------------------------------ #
+    # Growth
+    # ------------------------------------------------------------------ #
+
+    def append_local(
+        self, owner: str, events: list[tuple[int, EventKind, Valuation]]
+    ) -> "Msc":
+        """A new chart: this one with ``events``, given as ``(id, kind,
+        valuation)``, chained in order after ``owner``'s last event.
+
+        Receives cannot be appended (their send would be missing), so the
+        new events see nothing beyond ``owner``'s past and the analysis
+        carries over: ``owner``'s chain, local indices and timestamps are
+        extended, every other table is shared. This chart is unchanged.
+        """
+        self._check_lifeline(owner)
+        self._ensure_analysis()
+        kind, pid, val, succ = dict(self.kind), dict(self.pid), dict(self.val), dict(self.succ)
+        local_idx, vts = dict(self._local_idx), dict(self._vts)
+        chain = list(self._by_lifeline[owner])
+        ts = vts[chain[-1]] if chain else {}
+        for eid, k, v in events:
+            if eid in kind:
+                raise MscError(f"event {eid} is already in the chart")
+            if k.tag == "recv":
+                raise MscError(f"cannot append receive {eid} without its send")
+            if k.tag == "send" and (k.receiver == owner or k.receiver not in self.lifelines):
+                raise MscError(f"send {eid} must go to another declared lifeline")
+            kind[eid], pid[eid], val[eid] = k, owner, v
+            if chain:
+                succ[chain[-1]] = eid
+            chain.append(eid)
+            local_idx[eid] = len(chain)
+            ts = vts[eid] = {**ts, owner: len(chain)}
+        return Msc(
+            lifelines=self.lifelines,
+            events=self.events + tuple(eid for eid, _, _ in events),
+            kind=kind,
+            pid=pid,
+            val=val,
+            succ=succ,
+            msg=dict(self.msg),
+            _by_lifeline={**self._by_lifeline, owner: tuple(chain)},
+            _local_idx=local_idx,
+            _vts=vts,
+            _msg_rev=self._msg_rev,
+        )
+
+    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 

@@ -86,17 +86,26 @@ class Scenario:
     msc: Msc
     guard_texts: dict[int, str]
     branches: dict[int, tuple[Fragment, Fragment]] = field(default_factory=dict)
+    # The last parse: the (lifelines, guard texts) it was made from, the
+    # formulas and the index map. Reused while both are unchanged.
+    _parsed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def guard_formulas(self) -> tuple[list[Formula], dict[int, int]]:
         """Parse and expand the guards; returns the formula list (ordered by
-        choice event id) and the event-id -> guard-index mapping."""
-        formulas: list[Formula] = []
-        indices: dict[int, int] = {}
-        for eid in sorted(self.guard_texts):
-            f = parse_guard(self.guard_texts[eid], set(self.msc.lifelines))
-            formulas.append(expand_derived(f, self.msc.lifelines))
-            indices[eid] = len(formulas) - 1
-        return formulas, indices
+        choice event id) and the event-id -> guard-index mapping. Each
+        text is parsed once; editing ``guard_texts`` or replacing ``msc``
+        makes the next call parse again."""
+        source = (self.msc.lifelines, sorted(self.guard_texts.items()))
+        if self._parsed is None or self._parsed[0] != source:
+            lifelines = source[0]
+            formulas = [
+                expand_derived(parse_guard(text, set(lifelines)), lifelines)
+                for _, text in source[1]
+            ]
+            indices = {eid: i for i, (eid, _) in enumerate(source[1])}
+            self._parsed = (source, formulas, indices)
+        _, formulas, indices = self._parsed
+        return list(formulas), dict(indices)
 
     def guard_set(self) -> GuardSet:
         formulas, _ = self.guard_formulas()
@@ -177,8 +186,9 @@ def _parse_fragment(obj, i: int, arm: str) -> Fragment:
     return Fragment(events=list(events))
 
 
-#: A decoded continuation event: id, lifeline, kind and valuation.
-Decoded = tuple[int, str, EventKind, Valuation]
+#: A decoded continuation event: id, kind and valuation (its lifeline is
+#: the deciding choice's).
+Decoded = tuple[int, EventKind, Valuation]
 
 
 def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decoded]]]:
@@ -210,7 +220,7 @@ def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decode
                         f"{where}: receive events are not allowed in continuations"
                     )
                 pid[eid], kind[eid] = b, k
-                out.append((eid, b, k, v))
+                out.append((eid, k, v))
     for eid in sc.guard_texts:
         if eid not in kind:
             raise ScenarioError(f"guard references unknown event {eid}")
@@ -219,8 +229,8 @@ def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decode
     for c, arms in decoded.items():
         if c not in pid:
             raise ScenarioError(f"branch at unknown event {c}")
-        for eid, b, _, _ in arms[0] + arms[1]:
-            if b != pid[c]:
+        for eid, _, _ in arms[0] + arms[1]:
+            if pid[eid] != pid[c]:
                 raise ScenarioError(
                     f"continuation event {eid} is not on the owner lifeline {pid[c]!r}"
                 )
@@ -336,8 +346,8 @@ def run_scenario(
             record["verdict"] = verdict
             if e in arms_of:
                 arm = arms_of[e][0 if verdict else 1]
-                m = _append_arm(m, owner, arm)
-                queue.extend(eid for eid, _, _, _ in arm)
+                m = m.append_local(owner, arm)
+                queue.extend(eid for eid, _, _ in arm)
         records.append(record)
 
     log = RunLog(
@@ -349,29 +359,6 @@ def run_scenario(
     if not m.is_linear_extension(log.order):
         raise ScenarioError("internal error: executed order is not a schedule")
     return log
-
-
-def _append_arm(m: Msc, owner: str, arm: list[Decoded]) -> Msc:
-    """A new chart: ``m`` with the arm's events chained after the owner's
-    last event. It is well-formed because ``m`` is and the arm passed
-    :func:`_decode_branches`."""
-    kind, pid, val, succ = dict(m.kind), dict(m.pid), dict(m.val), dict(m.succ)
-    chain = m.events_of(owner)
-    prev = chain[-1] if chain else None
-    for eid, b, k, v in arm:
-        kind[eid], pid[eid], val[eid] = k, b, v
-        if prev is not None:
-            succ[prev] = eid
-        prev = eid
-    return Msc(
-        lifelines=m.lifelines,
-        events=m.events + tuple(eid for eid, _, _, _ in arm),
-        kind=kind,
-        pid=pid,
-        val=val,
-        succ=succ,
-        msg=dict(m.msg),
-    )
 
 
 # ---------------------------------------------------------------------- #

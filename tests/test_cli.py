@@ -115,6 +115,13 @@ def test_simulate_writes_out_file(capsys, tmp_path):
     assert json.loads(out_file.read_text())["order"]
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_simulate_unwritable_out_exits_2(capsys, tmp_path, where):
+    code, out, err = run(capsys, "simulate", MERGE, "--out", str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_simulate_cpl_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("CPL_SEED", "99")
     _, from_env, _ = run(capsys, "simulate", MERGE)

@@ -3,6 +3,7 @@ and the malformed inputs around them that must end in a typed error."""
 
 import copy
 import json
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from cplkit.simulator import (
 from cplkit.trace import TraceFormatError, dump_trace, load_trace
 
 from oracles import chart, ev, vars_of
+from scenarios import chart_answers, gen_scenario
 
 
 def merge_with_branch(then_events, else_events=(), guards=()):
@@ -220,6 +222,36 @@ def test_nested_branches_take_every_arm():
         ("true", "!true"): [10, 11, 12, 40, 41],
         ("!true", "true"): [20],
     }
+
+
+def replay_against_fresh_charts(sc, seed):
+    """Replay without any new chart analysis, then check that the grown
+    chart answers every causal query like one loaded from its dump, and
+    that the scenario's own chart answers as before."""
+    before = chart_answers(sc.msc)
+    with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
+        log = run_scenario(sc, sc.guard_set(), seed)
+        grown = chart_answers(log.msc)
+    assert grown == chart_answers(load_trace(dump_trace(log.msc)))
+    assert chart_answers(sc.msc) == before
+    return log
+
+
+@pytest.mark.parametrize("outer", ["true", "!true", "Here.y == 1"])
+@pytest.mark.parametrize("inner", ["true", "!true"])
+def test_grown_nested_branch_charts_answer_like_fresh_charts(outer, inner):
+    sc = load_scenario(nested_scenario(outer, inner))
+    for seed in range(4):
+        replay_against_fresh_charts(sc, seed)
+
+
+def test_grown_generated_charts_answer_like_fresh_charts():
+    appended = 0
+    for seed in range(80):
+        sc = load_scenario(gen_scenario(seed))
+        log = replay_against_fresh_charts(sc, seed)
+        appended += len(log.msc.events) - len(sc.msc.events)
+    assert appended > 100
 
 
 # ---------------------------------------------------------------------- #

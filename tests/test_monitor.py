@@ -20,6 +20,8 @@ from cplkit.monitor import (
     MonitorError,
     begin_event,
     check_coherence,
+    decode_row,
+    encode_row,
     eval_local,
     finish_event,
     init_monitor,
@@ -391,32 +393,58 @@ def test_payload_wire_round_trip():
 def test_payload_wire_validates_presence():
     with pytest.raises(MonitorError, match="unseen lifeline"):
         MessagePayload.from_wire(
-            {"vc": {"A": 0}, "view": [["A", 0, True]], "var": [], "payload": ""}, 1
+            {"vc": {"A": 0}, "view": {"A": "1"}, "var": [], "payload": ""}, 1
         )
-    with pytest.raises(MonitorError, match="incomplete view row"):
+    with pytest.raises(MonitorError, match="unseen lifeline"):
         MessagePayload.from_wire(
-            {"vc": {"A": 1}, "view": [["A", 0, True]], "var": [], "payload": ""}, 2
+            {"vc": {"A": 1}, "view": {"A": "1", "B": "0"}, "var": [], "payload": ""}, 2
         )
 
 
-def wire(vc=None, view=(), var=()):
-    return {"vc": {"A": 1} if vc is None else vc, "view": list(view),
+def wire(vc=None, view=None, var=()):
+    return {"vc": {"A": 1} if vc is None else vc,
+            "view": {"A": "1"} if view is None else view,
             "var": list(var), "payload": ""}
 
 
+def test_view_rows_are_canonical_hex_bitsets():
+    assert encode_row((True, False, False, False, True)) == "11"
+    assert encode_row((False,) * 9) == "0" and encode_row(()) == "0"
+    assert decode_row("11", 5) == (True, False, False, False, True)
+    assert decode_row("0", 0) == ()
+    gs = guards_of("Here.x == 1 && Y(true)", lifelines=("A", "B"))
+    s = init_monitor("A", gs, ("A", "B"))
+    _, payload = on_event(
+        s, EventDescriptor(kind=EventKind("send", "B"), store_after={"x": 1})
+    )
+    assert payload.to_wire()["view"] == {"A": encode_row(s.vals)}
+
+
 def test_payload_wire_rejects_non_boolean_view_values():
-    with pytest.raises(MonitorError, match="bad view entry"):
-        MessagePayload.from_wire(wire(view=[["A", 0, "false"]]), 1)
+    for row in (1, True, None, ["1"], {"int": 1}):
+        with pytest.raises(MonitorError, match="not canonical"):
+            MessagePayload.from_wire(wire(view={"A": row}), 1)
 
 
 def test_payload_wire_rejects_negative_view_index():
-    with pytest.raises(MonitorError, match="bad view entry"):
-        MessagePayload.from_wire(wire(view=[["A", 0, True], ["A", -1, True]]), 1)
+    for row in ("-1", "+1", "-0"):
+        with pytest.raises(MonitorError, match="not canonical"):
+            MessagePayload.from_wire(wire(view={"A": row}), 1)
+
+
+@pytest.mark.parametrize(
+    "row", ["0x1", "1_0", " 1", "1 ", "1\n", "A", "1F", "01", "00", "", "g", "\uff11"]
+)
+def test_payload_wire_rejects_non_canonical_rows(row):
+    with pytest.raises(MonitorError, match="not canonical"):
+        MessagePayload.from_wire(wire(view={"A": row}), 8)
 
 
 def test_payload_wire_rejects_view_index_out_of_range():
-    with pytest.raises(MonitorError, match="bad view entry"):
-        MessagePayload.from_wire(wire(view=[["A", 0, True], ["A", 1, True]]), 1)
+    assert MessagePayload.from_wire(wire(view={"A": "1"}), 1).view == {"A": (True,)}
+    for row, width in (("2", 1), ("1", 0), ("100", 8), ("10000000000000000", 64)):
+        with pytest.raises(MonitorError, match="wider"):
+            MessagePayload.from_wire(wire(view={"A": row}), width)
 
 
 def test_payload_wire_rejects_non_integer_clock():
@@ -430,7 +458,8 @@ def test_payload_wire_rejects_negative_clock():
 
 
 def test_payload_wire_rejects_malformed_tables():
-    for data in (None, {"vc": []}, wire(view=[["A", 0]]), {**wire(), "view": {}},
+    for data in (None, {"vc": []}, wire(view=[["A", 0, True]]), {**wire(), "view": []},
+                 {"vc": {"A": 1}, "var": []}, wire(view={1: "1"}),
                  wire(var=[["A", 1, {"int": 1}]]), wire(var=[["A", "x", 1]])):
         with pytest.raises(MonitorError):
             MessagePayload.from_wire(data, 1)

@@ -1,6 +1,7 @@
 """Chart structure, well-formedness, and causal navigation."""
 
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -8,7 +9,7 @@ from cplkit.fixtures import fixture_path
 from cplkit.msc import MscError, validate_msc
 from cplkit.msc import EventKind, Msc, local_chains, topological_order
 from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario
-from cplkit.trace import load_trace
+from cplkit.trace import dump_trace, load_trace
 
 from oracles import (
     all_topo_sorts,
@@ -20,6 +21,7 @@ from oracles import (
     ev,
     reachability,
 )
+from scenarios import chart_answers
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +341,45 @@ def test_local_chains_report_broken_lifelines():
     assert [v.condition for v in validate_msc(m).violations] == ["ii", "iv"]
     with pytest.raises(MscError, match="not a single chain"):
         m.causal_leq(0, 1)
+
+
+# ---------------------------------------------------------------------- #
+# Growth
+# ---------------------------------------------------------------------- #
+
+def test_append_local_carries_the_analysis_and_leaves_the_parent_unchanged():
+    for m in random_charts(40):
+        before, text = chart_answers(m), dump_trace(m)
+        for owner in m.lifelines:
+            other = next(b for b in m.lifelines if b != owner)
+            new = max(m.events, default=-1) + 1
+            arm = [
+                (new, EventKind("act"), {"x0": 1}),
+                (new + 1, EventKind("send", other), {}),
+                (new + 2, EventKind("choice"), {}),
+            ]
+            # Only the parent's analysis may be used: no new Kahn pass.
+            with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
+                grown = m.append_local(owner, arm)
+                answers = chart_answers(grown)
+            fresh = load_trace(dump_trace(grown))
+            assert validate_msc(fresh).ok
+            assert answers == chart_answers(fresh)
+            assert grown.events_of(owner)[-3:] == (new, new + 1, new + 2)
+            assert chart_answers(m) == before and dump_trace(m) == text
+
+
+def test_append_local_rejects_events_that_break_the_chart(merge):
+    owner, other = merge.lifelines[:2]
+    for arm, match in [
+        ([(merge.events[0], EventKind("act"), {})], "already in the chart"),
+        ([(99, EventKind("act"), {}), (99, EventKind("act"), {})], "already in the chart"),
+        ([(99, EventKind("recv"), {})], "receive"),
+        ([(99, EventKind("send", owner), {})], "another declared lifeline"),
+        ([(99, EventKind("send", "Nobody"), {})], "another declared lifeline"),
+    ]:
+        with pytest.raises(MscError, match=match):
+            merge.append_local(owner, arm)
+    with pytest.raises(MscError, match="no such lifeline"):
+        merge.append_local("Nobody", [])
+    assert 99 not in merge.kind and validate_msc(merge).ok

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cplkit import simulator
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
 from cplkit.lang import (
@@ -171,6 +172,34 @@ def test_scenario_verdicts_match_denotation_on_fuzzed_scenarios():
                 assert rec["verdict"] == sat(m, rec["event"], f)
                 checked += 1
     assert checked > 200
+
+
+def test_guard_texts_are_parsed_once_per_scenario(monkeypatch):
+    sc = load_scenario(fixture_path("merge_review"))
+    g = sc.guard_set()
+    calls = []
+    parse = simulator.parse_guard
+    monkeypatch.setattr(
+        simulator, "parse_guard", lambda *a: calls.append(a) or parse(*a)
+    )
+    for seed in range(3):
+        run_scenario(sc, g, seed)
+    assert calls == []
+    sc.guard_texts[5] = "Here.candidate == 1"
+    sc.guard_formulas()
+    sc.guard_formulas()
+    assert len(calls) == 1
+
+
+def test_edited_guard_texts_are_not_replayed_stale():
+    sc = load_scenario(fixture_path("merge_review"))
+    g = sc.guard_set()
+    assert all(r["verdict"] for r in run_scenario(sc, g, 0).records if "verdict" in r)
+    sc.guard_texts[5] = "!(" + sc.guard_texts[5] + ")"
+    with pytest.raises(ScenarioError, match="guard 0 is not guard 0"):
+        run_scenario(sc, g, 0)
+    log = run_scenario(sc, sc.guard_set(), 0)
+    assert [r["verdict"] for r in log.records if "verdict" in r] == [False]
 
 
 def test_branch_continuations():
