@@ -24,7 +24,6 @@ from .monitor import (
     MonitorError,
     MonitorState,
     check_coherence,
-    eval_local,
     init_monitor,
     on_event,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "differential_check",
     "dump_trace",
     "eval_atom",
-    "eval_local",
     "eval_term",
     "expand_derived",
     "fuzz_sweep",

@@ -5,7 +5,8 @@ Subcommands: ``check`` (offline guard evaluation over a trace),
 monitor-vs-semantics differential sweep), and ``explain`` (the causal
 view at one event). Reports are JSON; ``--pretty`` switches to an
 indented / human layout. Exit codes: 0 success, 1 differential mismatch,
-2 bad input.
+2 bad input (flags, files, guards) or a stdout closed before the report
+was written.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ def _load_chart_and_guards(path: str):
     return load_trace(data), []
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return count
+
+
 def _default_seed(arg_seed: int | None) -> int:
     if arg_seed is not None:
         return arg_seed
@@ -113,9 +126,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         gs = close_guards(formulas)
         rows = sat_table(m, gs)
         out = [
-            {"event": e, "guard": texts[i], "value": rows[e][gs.index[f]]}
+            {"event": e, "guard": text, "value": rows[e][pos]}
             for e in sorted(events)
-            for i, f in enumerate(formulas)
+            for text, pos in zip(texts, gs.guard_pos)
         ]
     _emit(out, args.pretty)
     return 0
@@ -246,14 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay a scenario with online monitors")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="default: $CPL_SEED or 0")
-    p.add_argument("--extensions", type=int, default=1, help="number of schedules")
+    p.add_argument(
+        "--extensions", type=_at_least(1), default=1, help="number of schedules"
+    )
     p.add_argument("--out", help="write the log(s) to a file")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fuzz", help="differential sweep of monitor vs semantics")
-    p.add_argument("--seeds", type=int, default=100, help="generated instances")
-    p.add_argument("--extensions", type=int, default=3, help="schedules per instance")
+    p.add_argument(
+        "--seeds", type=_at_least(0), default=100, help="generated instances"
+    )
+    p.add_argument(
+        "--extensions", type=_at_least(1), default=3, help="schedules per instance"
+    )
     p.add_argument("--lifelines", type=int, default=4)
     p.add_argument("--events", type=int, default=6, help="max events per lifeline")
     p.add_argument("--msg-prob", type=float, default=0.35)
@@ -271,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect all divergences instead of stopping at the first",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=_at_least(1), default=1, help="parallel worker processes"
+    )
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_fuzz)
 
@@ -286,7 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. ``| head``). Point stdout at
+        # devnull so that the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("stdout was closed before the report was written")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 from .denot import compare_values, sat_table
-from .lang import AtField, Formula, GuardSet, Lit, LocalVar
+from .lang import AtField, GuardSet, Lit, LocalVar
 from .msc import EventKind, Msc, Valuation, Value, values_equal
 from .trace import TraceFormatError, decode_value, encode_value
 
@@ -245,7 +245,7 @@ def finish_event(
     s: MonitorState, d: EventDescriptor, mutation: str | None = None
 ) -> MessagePayload | None:
     """Phase 2: run the plan, publish the local row, emit."""
-    s.vals = tuple(_run_plan(s, len(s.guards.plan), s.old, mutation))
+    s.vals = tuple(_run_plan(s, mutation))
     s.view[s.me] = s.vals
 
     if d.kind.tag == "send":
@@ -278,35 +278,17 @@ def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
         raise MonitorError("guard attached to a non-choice event")
 
 
-def eval_local(
-    s: MonitorState, f: Formula, old: Row, mutation: str | None = None
-) -> bool:
-    """Truth of one guard-set subformula against the mid-update state.
-
-    Call between :func:`begin_event` and :func:`finish_event` (or rely on
-    :func:`on_event`, which records all results). ``old`` holds the
-    previous event's subformula values, indexed like the guard set.
-    Runs the plan up to ``f``.
-    """
-    idx = s.guards.index.get(f)
-    if idx is None:
-        raise MonitorError("formula is not in the closed guard set")
-    return _run_plan(s, idx + 1, old, mutation)[idx]
-
-
-def _run_plan(
-    s: MonitorState, stop: int, old: Row, mutation: str | None
-) -> list[bool]:
-    """Values of the first ``stop`` plan steps. Child values come from the
-    list being built; ``Y`` and ``S`` read ``old``, which is meaningless
-    at the first local event, hence the ``later`` guard."""
-    me, vc, view = s.me, s.vc, s.view
+def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
+    """Values of every plan step. Child values come from the list being
+    built; ``Y`` and ``S`` read ``s.old``, which is meaningless at the
+    first local event, hence the ``later`` guard."""
+    me, vc, view, old = s.me, s.vc, s.view, s.old
     later = vc[me] > 1
     strict_at = mutation == "strict-at"
     vals: list[bool] = []
     y_row = vals if mutation == "live-old" else old
     push = vals.append
-    for op, a, b in s.guards.plan[:stop]:
+    for op, a, b in s.guards.plan:
         if op == "atom":
             v = compare_values(a.op, _operand(s, a.left), _operand(s, a.right))
         elif op == "and":

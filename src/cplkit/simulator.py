@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from .denot import sat_table
 from .lang import (
@@ -577,13 +579,17 @@ def causal_past_sets(m: Msc) -> dict[int, set[int]]:
 
 @dataclass
 class DifferentialReport:
-    """All divergences one replay produced (empty lists mean agreement)."""
+    """The divergences of one replay (``runs == 1``) or of a sweep of
+    generated instances; empty failure lists mean agreement."""
 
     mismatches: list[dict] = field(default_factory=list)
     coherence_failures: list[dict] = field(default_factory=list)
     invariant_failures: list[dict] = field(default_factory=list)
     events_checked: int = 0
     pairs_checked: int = 0
+    instances: int = 0
+    runs: int = 0
+    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -591,13 +597,30 @@ class DifferentialReport:
             self.mismatches or self.coherence_failures or self.invariant_failures
         )
 
+    def add(self, other: DifferentialReport, **tags) -> None:
+        """Fold ``other`` into this report; ``tags`` (e.g. ``seed``) are
+        added to each of its failure records."""
+        self.instances += other.instances
+        self.runs += other.runs
+        self.events_checked += other.events_checked
+        self.pairs_checked += other.pairs_checked
+        for name in ("mismatches", "coherence_failures", "invariant_failures"):
+            getattr(self, name).extend({**tags, **r} for r in getattr(other, name))
+
     def to_dict(self) -> dict:
         return {
-            "mismatches": self.mismatches,
-            "coherence_failures": self.coherence_failures,
-            "invariant_failures": self.invariant_failures,
+            "instances": self.instances,
+            "runs": self.runs,
             "events_checked": self.events_checked,
             "pairs_checked": self.pairs_checked,
+            "mismatch_count": len(self.mismatches),
+            "coherence_failure_count": len(self.coherence_failures),
+            "invariant_failure_count": len(self.invariant_failures),
+            "mismatches": self.mismatches[:20],
+            "coherence_failures": self.coherence_failures[:20],
+            "invariant_failures": self.invariant_failures[:20],
+            "elapsed_seconds": round(self.elapsed, 3),
+            "ok": self.ok,
         }
 
 
@@ -618,7 +641,7 @@ def differential_check(
       rows exist exactly for causally seen lifelines, and describe the
       latest visible event of each (the same checker, phase ``"post"``).
     """
-    report = DifferentialReport()
+    report = DifferentialReport(runs=1)
     if not extension and not m.events:
         return report
     if not m.is_linear_extension(extension):
@@ -686,64 +709,22 @@ def differential_check(
 # Fuzz sweeps
 # ---------------------------------------------------------------------- #
 
-@dataclass
-class FuzzSummary:
-    instances: int = 0
-    runs: int = 0
-    events_checked: int = 0
-    pairs_checked: int = 0
-    mismatches: list[dict] = field(default_factory=list)
-    coherence_failures: list[dict] = field(default_factory=list)
-    invariant_failures: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.mismatches or self.coherence_failures or self.invariant_failures
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "runs": self.runs,
-            "events_checked": self.events_checked,
-            "pairs_checked": self.pairs_checked,
-            "mismatch_count": len(self.mismatches),
-            "coherence_failure_count": len(self.coherence_failures),
-            "invariant_failure_count": len(self.invariant_failures),
-            "mismatches": self.mismatches[:20],
-            "coherence_failures": self.coherence_failures[:20],
-            "invariant_failures": self.invariant_failures[:20],
-            "elapsed_seconds": round(self.elapsed, 3),
-            "ok": self.ok,
-        }
-
-
 def fuzz_instance(
     p: FuzzParams, extensions: int, mutation: str | None = None,
     fail_fast: bool = True,
-) -> FuzzSummary:
-    """One generated chart + guard set, checked along several schedules."""
-    summary = FuzzSummary(instances=1)
+) -> DifferentialReport:
+    """One generated chart + guard set, checked along several schedules.
+    Failure records carry the instance's ``seed``."""
+    report = DifferentialReport(instances=1)
     m = gen_random_msc(p)
     g = gen_random_formulas(p, m.lifelines)
     schedule_rng = SplitMix64(p.seed ^ 0xA5A5A5A5A5A5A5A5)
     for _ in range(extensions):
         ext = sample_linear_extension(m, schedule_rng.next_u64())
-        rep = differential_check(m, g, ext, mutation, fail_fast=fail_fast)
-        summary.runs += 1
-        summary.events_checked += rep.events_checked
-        summary.pairs_checked += rep.pairs_checked
-        for rec in rep.mismatches:
-            summary.mismatches.append({"seed": p.seed, **rec})
-        for rec in rep.coherence_failures:
-            summary.coherence_failures.append({"seed": p.seed, **rec})
-        for rec in rep.invariant_failures:
-            summary.invariant_failures.append({"seed": p.seed, **rec})
-        if fail_fast and not summary.ok:
+        report.add(differential_check(m, g, ext, mutation, fail_fast), seed=p.seed)
+        if fail_fast and not report.ok:
             break
-    return summary
+    return report
 
 
 def fuzz_sweep(
@@ -753,54 +734,32 @@ def fuzz_sweep(
     mutation: str | None = None,
     keep_going: bool = False,
     jobs: int = 1,
-) -> FuzzSummary:
+) -> DifferentialReport:
     """Differential sweep over ``seeds`` generated instances.
 
     Seeds are derived from ``base.seed`` by a split stream, so any failing
     instance replays exactly. Stops at the first divergence unless
-    ``keep_going``; ``jobs > 1`` distributes instances over processes
-    (results are aggregated in seed order either way).
+    ``keep_going``; ``jobs > 1`` spreads instances over up to ``jobs``
+    processes (results are aggregated in seed order either way).
     """
     started = time.monotonic()
     seed_rng = SplitMix64(base.seed)
-    derived = [seed_rng.next_u64() for _ in range(seeds)]
-    total = FuzzSummary()
-
+    params = [replace(base, seed=seed_rng.next_u64()) for _ in range(seeds)]
+    total = DifferentialReport()
+    pool = None
     if jobs > 1 and seeds > 1:
+        # Imported here: the pool's modules add about 24 ms to start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [
-            (replace(base, seed=s), extensions, mutation, not keep_going)
-            for s in derived
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fuzz_instance_star, args))
-        for part in results:
-            _merge(total, part)
-            if not keep_going and not total.ok:
-                break
-    else:
-        for s in derived:
-            part = fuzz_instance(
-                replace(base, seed=s), extensions, mutation, not keep_going
-            )
-            _merge(total, part)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, seeds))
+    with pool or nullcontext():
+        for part in (pool.map if pool else map)(
+            fuzz_instance, params, repeat(extensions), repeat(mutation),
+            repeat(not keep_going),
+        ):
+            total.add(part)
             if not keep_going and not total.ok:
                 break
 
     total.elapsed = time.monotonic() - started
     return total
-
-
-def _fuzz_instance_star(args) -> FuzzSummary:
-    return fuzz_instance(*args)
-
-
-def _merge(total: FuzzSummary, part: FuzzSummary) -> None:
-    total.instances += part.instances
-    total.runs += part.runs
-    total.events_checked += part.events_checked
-    total.pairs_checked += part.pairs_checked
-    total.mismatches.extend(part.mismatches)
-    total.coherence_failures.extend(part.coherence_failures)
-    total.invariant_failures.extend(part.invariant_failures)

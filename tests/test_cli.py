@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cplkit
 from cplkit.cli import main
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
@@ -24,6 +29,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python(*args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's cplkit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cplkit.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, *args], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -202,6 +216,64 @@ def test_fuzz_jobs_match_serial(capsys):
     a, b = json.loads(serial), json.loads(parallel)
     a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
     assert a == b
+
+
+def test_fuzz_jobs_fail_fast_matches_serial(capsys):
+    """Without --keep-going the pool stops at the same first divergence
+    as the serial sweep."""
+    for mode in ("swap-merge-order", "strict-at", "live-old"):
+        flags = ("fuzz", "--seeds", "200", "--extensions", "3", "--seed", "1",
+                 "--mutate", mode)
+        code, serial, _ = run(capsys, *flags)
+        code2, parallel, _ = run(capsys, *flags, "--jobs", "2")
+        assert code == code2 == 1, mode
+        a, b = json.loads(serial), json.loads(parallel)
+        a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
+        assert a == b, mode
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fuzz", "--jobs", "0"], "--jobs"),
+        (["fuzz", "--seeds", "-1"], "--seeds"),
+        (["fuzz", "--extensions", "0"], "--extensions"),
+        (["simulate", MERGE, "--extensions", "0"], "--extensions"),
+        (["fuzz", "--jobs", "two"], "--jobs"),
+    ],
+)
+def test_bad_count_flags_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument {flag}:" in out.err and "Traceback" not in out.err
+
+
+def test_import_does_not_load_the_process_pool():
+    proc = python(
+        "-c",
+        "import sys, cplkit; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))",
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out.decode().strip() == "[]"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that stops early (``| head``) must not make the run look
+    like a divergence (exit 1) or print a traceback."""
+    proc = python("-m", "cplkit.cli", "simulate", MERGE, "--pretty",
+                  "--extensions", "100")
+    assert proc.stdout.read(64)  # far less than the report or a pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------- #

@@ -4,16 +4,8 @@ import json
 
 import pytest
 
-from cplkit.denot import sat_table
 from cplkit.fixtures import fixture_path
-from cplkit.lang import (
-    Atom,
-    Lit,
-    LocalVar,
-    close_guards,
-    expand_derived,
-    parse_guard,
-)
+from cplkit.lang import close_guards, expand_derived, parse_guard
 from cplkit.monitor import (
     EventDescriptor,
     MessagePayload,
@@ -22,7 +14,6 @@ from cplkit.monitor import (
     check_coherence,
     decode_row,
     encode_row,
-    eval_local,
     finish_event,
     init_monitor,
     on_event,
@@ -184,7 +175,7 @@ def test_descriptor_validation():
 
 
 # ---------------------------------------------------------------------- #
-# eval_local
+# plan evaluation
 # ---------------------------------------------------------------------- #
 
 def test_yesterday_false_at_first_local_event():
@@ -203,40 +194,6 @@ def test_at_self_equals_direct_evaluation():
     assert s.last_vals[0] == s.last_vals[1] is True
     s, _ = on_event(s, act({"x": 0}))
     assert s.last_vals[0] == s.last_vals[1] is False
-
-
-def test_eval_local_rejects_foreign_formulas():
-    gs = guards_of("Here.x == 1")
-    s = init_monitor("A", gs, LIFELINES)
-    on_event(s, act({"x": 1}))
-    with pytest.raises(MonitorError, match="not in the closed guard set"):
-        eval_local(s, Atom("==", LocalVar("y"), Lit(2)), s.old)
-
-
-def test_eval_local_matches_sat_on_coherent_states():
-    """Drive monitors mid-update along random runs; every subformula must
-    evaluate exactly as the denotational semantics at that event."""
-    for seed in range(40):
-        p = FuzzParams(lifelines=3, events_per_lifeline=4, seed=seed)
-        m = gen_random_msc(p)
-        g = gen_random_formulas(p, m.lifelines)
-        rows = sat_table(m, g)
-        monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
-        payloads = {}
-        for e in sample_linear_extension(m, seed):
-            state = monitors[m.pid[e]]
-            incoming = None
-            if m.kind[e].tag == "recv":
-                incoming = payloads[m.matching_send(e)]
-            d = EventDescriptor(
-                kind=m.kind[e], store_after=dict(m.val[e]), incoming=incoming
-            )
-            begin_event(state, d)
-            for f in g.sub:
-                assert eval_local(state, f, state.old) == rows[e][g.index[f]]
-            pay = finish_event(state, d)
-            if pay is not None:
-                payloads[e] = pay
 
 
 # ---------------------------------------------------------------------- #

@@ -482,6 +482,58 @@ def test_fuzz_sweep_aggregates_and_replays():
     )
 
 
+def test_differential_check_is_one_run_and_reports_fold():
+    p = FuzzParams(seed=9)
+    m = gen_random_msc(p)
+    g = gen_random_formulas(p, m.lifelines)
+    ext = sample_linear_extension(m, 0)
+    rep = differential_check(m, g, ext, mutation="strict-at")
+    assert rep.runs == 1 and rep.instances == 0
+    total = simulator.DifferentialReport(instances=1)
+    total.add(rep, seed=42)
+    total.add(rep, seed=43)
+    assert (total.instances, total.runs) == (1, 2)
+    assert total.pairs_checked == 2 * rep.pairs_checked
+    assert [r["seed"] for r in total.mismatches] == [42] * len(rep.mismatches) + [
+        43
+    ] * len(rep.mismatches)
+    assert all("seed" not in r for r in rep.mismatches)
+
+
+def test_fuzz_sweep_pool_gets_at_most_one_worker_per_seed(monkeypatch):
+    """The pool is sized ``min(jobs, seeds)``; a stand-in executor records
+    it and maps in this process, so no worker is started."""
+    import concurrent.futures
+
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(self)
+            self.max_workers = max_workers
+            self.shut = False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shut = True
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    pooled = fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=8)
+    assert [(r.max_workers, r.shut) for r in made] == [(3, True)]
+    serial = fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=1)
+    assert len(made) == 1
+    assert pooled.to_dict() | {"elapsed_seconds": 0} == serial.to_dict() | {
+        "elapsed_seconds": 0
+    }
+    fuzz_sweep(FuzzParams(seed=2), seeds=1, extensions=1, jobs=8)
+    assert len(made) == 1  # one instance needs no pool
+
+
 @pytest.mark.parametrize("key, value", [("guards", 5), ("branches", 7), ("guards", {})])
 def test_scenario_guards_and_branches_must_be_lists(key, value):
     data = json.loads(fixture_path("merge_review").read_text())
