@@ -5,8 +5,8 @@ Subcommands: ``check`` (offline guard evaluation over a trace),
 monitor-vs-semantics differential sweep), and ``explain`` (the causal
 view at one event). Reports are JSON; ``--pretty`` switches to an
 indented / human layout. Exit codes: 0 success, 1 differential mismatch,
-2 bad input (flags, files, guards) or a stdout closed before the report
-was written.
+2 bad input (flags, ``$CPL_SEED``, files, guards) or a stdout closed
+before the report was written.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .simulator import (
     run_scenario,
 )
 from .rng import SplitMix64
-from .trace import TraceFormatError, encode_value, load_trace, read_json
+from .trace import TraceFormatError, encode_valuation, load_trace, read_json
 
 
 def _emit(payload, pretty: bool, out: str | None = None) -> int:
@@ -75,10 +75,15 @@ def _at_least(low: int):
 
 
 def _default_seed(arg_seed: int | None) -> int:
+    """``--seed``, else ``$CPL_SEED``, else 0; a non-integer ``$CPL_SEED``
+    ends the run with exit 2, like a bad flag."""
     if arg_seed is not None:
         return arg_seed
     env = os.environ.get("CPL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise SystemExit(_fail(f"CPL_SEED must be an integer, got {env!r}")) from None
 
 
 # ---------------------------------------------------------------------- #
@@ -161,6 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    seed = _default_seed(args.seed)
     try:
         params = FuzzParams(
             lifelines=args.lifelines,
@@ -169,7 +175,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             var_alphabet=args.vars,
             formula_depth=args.depth,
             formula_count=args.formulas,
-            seed=_default_seed(args.seed),
+            seed=seed,
         )
     except ValueError as exc:
         return _fail(str(exc))
@@ -214,9 +220,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "lifeline": b,
                 "event": lv,
                 "local_index": m.local_index(lv),
-                "valuation": {
-                    x: v for x, v in sorted(m.val[lv].items())
-                },
+                "valuation": dict(sorted(m.val[lv].items())),
             }
         )
 
@@ -229,11 +233,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 f"(index {row['local_index']}) {vals or '(empty store)'}"
             )
     else:
-        wire = [
-            {**row, "valuation": {x: encode_value(v) for x, v in row["valuation"].items()}}
-            for row in rows
-        ]
-        _emit(wire, False)
+        _emit([{**row, "valuation": encode_valuation(row["valuation"])} for row in rows], False)
     return 0
 
 

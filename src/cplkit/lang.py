@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from .msc import INT64_MAX, INT64_MIN
+
 # ---------------------------------------------------------------------- #
 # Syntax tree
 # ---------------------------------------------------------------------- #
@@ -167,6 +169,14 @@ def is_core(f: Formula) -> bool:
 # Parsing
 # ---------------------------------------------------------------------- #
 
+#: Deepest guard :func:`parse_guard` accepts, in levels: each operator
+#: (``!``, ``&&``, ``||``, ``S``, ``Y``, ``at``, ``P``) and each pair of
+#: grouping parentheses on the way down to an atom counts one. Deeper
+#: guards would exhaust the interpreter's recursion limit in the parser
+#: and in the recursive passes over formulas.
+MAX_NESTING = 100
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -224,6 +234,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.lifelines = lifelines
+        self.depth = 0  # levels open above the current token
 
     # -- token plumbing -------------------------------------------------
 
@@ -265,88 +276,112 @@ class _Parser:
         self.advance()
         return tok.text
 
+    def deeper(self, tok: _Token, parse) -> tuple[Formula, int]:
+        """``parse()`` one level below the operator or parenthesis at
+        ``tok``; returns the result and the height of that level."""
+        if self.depth == MAX_NESTING:
+            raise self.too_deep(tok)
+        self.depth += 1
+        f, h = parse()
+        self.depth -= 1
+        return f, h + 1
+
+    def level(self, tok: _Token, height: int) -> int:
+        """``height`` of the binary node at ``tok``, checked against the
+        bound together with the levels above it."""
+        if self.depth + height > MAX_NESTING:
+            raise self.too_deep(tok)
+        return height
+
+    def too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(f"guard nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
     # -- grammar ---------------------------------------------------------
+    # Each rule returns its formula and the formula's height in levels.
 
     def formula(self) -> Formula:
-        f = self.or_expr()
+        f, _ = self.or_expr()
         if self.cur.kind != "end":
             raise self.fail(f"unexpected {self.cur.text!r}")
         return f
 
-    def or_expr(self) -> Formula:
-        f = self.and_expr()
+    def or_expr(self) -> tuple[Formula, int]:
+        f, h = self.and_expr()
         while self.cur.text == "||":
-            self.advance()
-            f = Or(f, self.and_expr())
-        return f
+            tok = self.advance()
+            g, hg = self.deeper(tok, self.and_expr)
+            f, h = Or(f, g), self.level(tok, max(h + 1, hg))
+        return f, h
 
-    def and_expr(self) -> Formula:
-        f = self.since_expr()
+    def and_expr(self) -> tuple[Formula, int]:
+        f, h = self.since_expr()
         while self.cur.text == "&&":
-            self.advance()
-            f = And(f, self.since_expr())
-        return f
+            tok = self.advance()
+            g, hg = self.deeper(tok, self.since_expr)
+            f, h = And(f, g), self.level(tok, max(h + 1, hg))
+        return f, h
 
-    def since_expr(self) -> Formula:
-        f = self.unary()
+    def since_expr(self) -> tuple[Formula, int]:
+        f, h = self.unary()
         if self.cur.kind == "ident" and self.cur.text == "S":
-            self.advance()
-            return Since(f, self.since_expr())
-        return f
+            tok = self.advance()
+            g, hg = self.deeper(tok, self.since_expr)
+            return Since(f, g), self.level(tok, max(h + 1, hg))
+        return f, h
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         if self.cur.text == "!" and self.cur.kind == "op":
-            self.advance()
-            return Not(self.unary())
+            f, h = self.deeper(self.advance(), self.unary)
+            return Not(f), h
         return self.primary()
 
-    def primary(self) -> Formula:
+    def group(self, tok: _Token) -> tuple[Formula, int]:
+        """A parenthesized formula one level below ``tok``."""
+        self.expect("(")
+        f, h = self.deeper(tok, self.or_expr)
+        self.expect(")")
+        return f, h
+
+    def primary(self) -> tuple[Formula, int]:
         tok = self.cur
         if tok.text == "(":
-            self.advance()
-            f = self.or_expr()
-            self.expect(")")
-            return f
+            return self.group(tok)
         if tok.kind == "ident":
             if tok.text == "Y":
                 self.advance()
-                self.expect("(")
-                body = self.or_expr()
-                self.expect(")")
-                return Yesterday(body)
+                body, h = self.group(tok)
+                return Yesterday(body), h
             if tok.text == "at":
                 self.advance()
                 self.expect("(")
                 lf = self.lifeline()
                 self.expect(",")
-                body = self.or_expr()
+                body, h = self.deeper(tok, self.or_expr)
                 self.expect(")")
-                return At(lf, body)
+                return At(lf, body), h
             if tok.text == "P":
                 self.advance()
                 if self.cur.text == "[":
                     self.advance()
                     lf = self.lifeline()
                     self.expect("]")
-                    self.expect("(")
-                    body = self.or_expr()
-                    self.expect(")")
-                    return PastAt(lf, body)
-                self.expect("(")
-                body = self.or_expr()
-                self.expect(")")
-                return PastAny(body)
+                    body, h = self.group(tok)
+                    return PastAt(lf, body), h
+                body, h = self.group(tok)
+                return PastAny(body), h
             if tok.text == "seen":
                 self.advance()
                 self.expect("(")
                 lf = self.lifeline()
                 self.expect(")")
-                return Seen(lf)
+                return Seen(lf), 0
             if tok.text in ("true", "false") and not self._starts_comparison(1):
                 self.advance()
-                return Truth() if tok.text == "true" else Not(Truth())
+                if tok.text == "true":
+                    return Truth(), 0
+                return Not(Truth()), self.level(tok, 1)  # prints as !true
         if tok.kind in ("int", "string", "ident"):
-            return self.atom()
+            return self.atom(), 0
         raise self.fail(f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input")
 
     def _starts_comparison(self, offset: int) -> bool:
@@ -371,6 +406,10 @@ class _Parser:
     def operand(self) -> Operand:
         tok = self.cur
         if tok.kind == "int":
+            # Length first: int() refuses digit strings over 4300 long.
+            digits = tok.text.lstrip("-0")
+            if len(digits) > 19 or not INT64_MIN <= int(tok.text) <= INT64_MAX:
+                raise self.fail("integer literal outside the signed 64-bit range")
             self.advance()
             return Lit(int(tok.text))
         if tok.kind == "string":
@@ -408,7 +447,9 @@ def _unquote(text: str, tok: _Token) -> str:
 def parse_guard(text: str, lifelines: set[str] | frozenset[str]) -> Formula:
     """Parse a guard; lifeline references are checked against ``lifelines``.
 
-    Raises :class:`ParseError` with line/column on malformed input.
+    Raises :class:`ParseError` with line/column on malformed input,
+    integer literals outside the signed 64-bit range and guards nested
+    deeper than :data:`MAX_NESTING` levels.
     """
     return _Parser(text, frozenset(lifelines)).formula()
 
@@ -553,9 +594,6 @@ class GuardSet:
     guard_pos: tuple[int, ...]
     cross_vars: frozenset[str]
     local_vars: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.sub)
 
 
 def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from .denot import compare_values, sat_table
 from .lang import AtField, GuardSet, Lit, LocalVar
 from .msc import EventKind, Msc, Valuation, Value, values_equal
-from .trace import TraceFormatError, decode_value, encode_value
+from .trace import TraceFormatError, decode_valuation, encode_valuation
 
 Row = tuple[bool, ...]
 
@@ -62,26 +62,20 @@ class MonitorError(Exception):
 @dataclass
 class MessagePayload:
     """Metadata piggybacked on one message: the sender's clock and both
-    latest-value tables, snapshotted at send time, plus opaque data."""
+    latest-value tables, snapshotted at send time."""
 
     vc: dict[str, int]
     view: dict[str, Row]
     var: dict[str, dict[str, Value]]
-    payload: str = ""
 
     def to_wire(self) -> dict:
-        """JSON encoding: each view row as a hex bitset (see
-        :func:`encode_row`), the value table as (lifeline, name, value)
-        triples."""
+        """JSON encoding: three objects keyed by lifeline, each view row a
+        hex bitset (see :func:`encode_row`), each value row a valuation
+        in the trace format."""
         return {
             "vc": dict(sorted(self.vc.items())),
             "view": {b: encode_row(self.view[b]) for b in sorted(self.view)},
-            "var": [
-                [b, x, encode_value(v)]
-                for b in sorted(self.var)
-                for x, v in sorted(self.var[b].items())
-            ],
-            "payload": self.payload,
+            "var": {b: encode_valuation(self.var[b]) for b in sorted(self.var)},
         }
 
     @classmethod
@@ -89,43 +83,25 @@ class MessagePayload:
         """Inverse of :meth:`to_wire` for a guard set of
         ``subformula_count`` subformulas; every malformed part raises
         :class:`MonitorError`."""
-        if not isinstance(data, dict) or not isinstance(data.get("vc"), dict):
-            raise MonitorError("payload must be an object with a vc object")
-        vc = data["vc"]
+        if not isinstance(data, dict) or set(data) != {"vc", "view", "var"}:
+            raise MonitorError("payload must be an object with keys vc, view and var")
+        vc, rows, items = data["vc"], data["view"], data["var"]
+        if not all(isinstance(t, dict) for t in (vc, rows, items)):
+            raise MonitorError("payload vc, view and var must be objects")
         for b, n in vc.items():
             if not isinstance(b, str) or type(n) is not int or n < 0:
                 raise MonitorError(f"clock of {b!r} is not a natural number: {n!r}")
-        rows = data.get("view")
-        if not isinstance(rows, dict):
-            raise MonitorError("payload view must be an object of hex rows")
-        view: dict[str, Row] = {}
-        for b, text in rows.items():
-            if not isinstance(b, str):
-                raise MonitorError(f"view row key {b!r} is not a lifeline name")
-            view[b] = decode_row(text, subformula_count)
-        items = data.get("var")
-        if not isinstance(items, list) or not all(
-            isinstance(t, list) and len(t) == 3 and isinstance(t[0], str) for t in items
-        ):
-            raise MonitorError("payload var must be a list of [lifeline, name, value]")
-        # A lifeline's value row may be empty, which no triple shows; the
-        # sender had one wherever it had a view row.
-        var: dict[str, dict[str, Value]] = {b: {} for b in view}
-        for b, x, v in items:
-            if not isinstance(x, str):
-                raise MonitorError(f"bad variable name {x!r} for {b!r}")
-            try:
-                var.setdefault(b, {})[x] = decode_value(v)
-            except TraceFormatError as exc:
-                raise MonitorError(f"bad value for {b!r}.{x}: {exc}") from None
-        text = data.get("payload", "")
-        if not isinstance(text, str):
-            raise MonitorError("payload data must be a string")
-        payload = cls(vc=dict(vc), view=view, var=var, payload=text)
-        for b in set(view) | set(var):
-            if payload.vc.get(b, 0) == 0:
+        if set(rows) != set(items):
+            raise MonitorError("payload view and var must name the same lifelines")
+        for b in rows:
+            if vc.get(b, 0) == 0:
                 raise MonitorError(f"payload has entries for unseen lifeline {b!r}")
-        return payload
+        try:
+            var = {b: decode_valuation(row, f"var of {b!r}") for b, row in items.items()}
+        except TraceFormatError as exc:
+            raise MonitorError(str(exc)) from None
+        view = {b: decode_row(text, subformula_count) for b, text in rows.items()}
+        return cls(vc=dict(vc), view=view, var=var)
 
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -157,16 +133,13 @@ class EventDescriptor:
     """What the monitor is told about one event of its own lifeline.
 
     ``store_after`` is the local store after the event (sends and choice
-    events conventionally leave the store unchanged). ``guard_index``
-    points into the guard list and may only be set on choice events;
-    ``incoming`` carries the matched message's payload on receives.
+    events conventionally leave the store unchanged); ``incoming``
+    carries the matched message's payload on receives.
     """
 
     kind: EventKind
     store_after: Valuation
-    guard_index: int | None = None
     incoming: MessagePayload | None = None
-    payload: str = ""
 
 
 @dataclass
@@ -253,7 +226,6 @@ def finish_event(
             vc=dict(s.vc),
             view=dict(s.view),
             var={b: dict(row) for b, row in s.var.items()},
-            payload=d.payload,
         )
     return None
 
@@ -274,8 +246,6 @@ def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
         raise MonitorError("incoming payload on a non-receive event")
     if d.kind.tag == "send" and d.kind.receiver == s.me:
         raise MonitorError("send event addressed to its own lifeline")
-    if d.guard_index is not None and d.kind.tag != "choice":
-        raise MonitorError("guard attached to a non-choice event")
 
 
 def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:

@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 #: through exact ``type()`` checks, never isinstance (bool subclasses int).
 Value = int | str | bool
 
+#: Integers are signed 64-bit, in traces and guard literals alike.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 #: A valuation maps variable names to values; a missing key is the
 #: distinguished "undefined" outcome, not an error.
 Valuation = dict[str, Value]

@@ -3,7 +3,7 @@
 Chosen over the stdlib generator because runs must replay exactly from a
 single integer seed, across processes and Python versions, and because
 independent substreams (one per fuzz instance, one per sampled schedule)
-are derived by splitting rather than by ad-hoc seed arithmetic. Constants
+are seeded from draws of a parent stream. Constants
 are the standard SplitMix64 ones (Steele, Lea & Flood's mixer).
 """
 
@@ -42,7 +42,3 @@ class SplitMix64:
         if not seq:
             raise ValueError("empty sequence")
         return seq[self.next_u64() % len(seq)]
-
-    def split(self) -> "SplitMix64":
-        """Derive an independent child stream."""
-        return SplitMix64(self.next_u64())

@@ -58,7 +58,7 @@ from .monitor import (
 )
 from .msc import EventKind, Msc, Valuation, Value, topological_order, validate_msc
 from .rng import SplitMix64
-from .trace import TraceFormatError, decode_event, encode_value, parse_trace, read_json
+from .trace import TraceFormatError, decode_event, encode_valuation, parse_trace, read_json
 
 
 class ScenarioError(Exception):
@@ -273,32 +273,17 @@ class RunLog:
             "snapshots": {b: self.snapshots[b] for b in sorted(self.snapshots)},
         }
 
-    def to_json(self, pretty_output: bool = False) -> str:
-        if pretty_output:
-            return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-
-def _descriptor(m: Msc, e: int, guard_index: int | None, payloads) -> EventDescriptor:
+def _descriptor(m: Msc, e: int, payloads) -> EventDescriptor:
     kind = m.kind[e]
-    incoming = None
-    if kind.tag == "recv":
-        send = m.matching_send(e)
-        incoming = payloads[send]
-    return EventDescriptor(
-        kind=kind,
-        store_after=dict(m.val[e]),
-        guard_index=guard_index,
-        incoming=incoming,
-    )
+    incoming = payloads[m.matching_send(e)] if kind.tag == "recv" else None
+    return EventDescriptor(kind=kind, store_after=dict(m.val[e]), incoming=incoming)
 
 
 def _snapshot(s: MonitorState) -> dict:
     """The state's clock and tables in the wire encoding, plus its store."""
     snap = MessagePayload(vc=s.vc, view=s.view, var=s.var).to_wire()
-    del snap["payload"]
-    snap["store"] = {x: encode_value(v) for x, v in sorted(s.store.items())}
-    return snap
+    return {**snap, "store": encode_valuation(s.store)}
 
 
 def run_scenario(
@@ -333,7 +318,7 @@ def run_scenario(
         order.append(e)
         owner = m.pid[e]
         gidx = guard_index_of.get(e)
-        desc = _descriptor(m, e, gidx, payloads)
+        desc = _descriptor(m, e, payloads)
         state = monitors[owner]
         begin_event(state, desc, mutation)
         payload = finish_event(state, desc, mutation)
@@ -663,7 +648,7 @@ def differential_check(
     for e in extension:
         owner = m.pid[e]
         state = monitors[owner]
-        desc = _descriptor(m, e, None, payloads)
+        desc = _descriptor(m, e, payloads)
         begin_event(state, desc, mutation)
 
         coherence = check_coherence(state, m, e, denot_rows=rows, counts=counts[e])

@@ -23,10 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .msc import EVENT_TAGS, EventKind, Msc, Valuation, Value
-
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
+from .msc import EVENT_TAGS, INT64_MAX, INT64_MIN, EventKind, Msc, Valuation, Value
 
 _TRACE_KEYS = {"lifelines", "events", "succ", "messages"}
 _EVENT_KEYS = {"id", "lifeline", "kind", "receiver", "vars"}
@@ -65,6 +62,11 @@ def encode_value(v: Value) -> dict[str, Value]:
     if type(v) is str:
         return {"str": v}
     raise TypeError(f"not a storable value: {v!r}")
+
+
+def encode_valuation(val: Valuation) -> dict[str, dict[str, Value]]:
+    """Inverse of :func:`decode_valuation`, names in sorted order."""
+    return {x: encode_value(v) for x, v in sorted(val.items())}
 
 
 def decode_valuation(obj: object, where: str) -> Valuation:
@@ -198,7 +200,7 @@ def dump_trace(m: Msc) -> dict:
         ev: dict = {"id": eid, "lifeline": m.pid[eid], "kind": k.tag}
         if k.receiver is not None:
             ev["receiver"] = k.receiver
-        ev["vars"] = {x: encode_value(v) for x, v in sorted(m.val[eid].items())}
+        ev["vars"] = encode_valuation(m.val[eid])
         events.append(ev)
     return {
         "lifelines": list(m.lifelines),

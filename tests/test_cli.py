@@ -144,6 +144,38 @@ def test_simulate_cpl_seed_env(capsys, monkeypatch):
     assert from_env == explicit
 
 
+@pytest.mark.parametrize("argv", [["simulate", MERGE], ["fuzz", "--seeds", "1"]])
+@pytest.mark.parametrize("value", ["abc", "1.5", "0x10"])
+def test_non_integer_cpl_seed_exits_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("CPL_SEED", value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: CPL_SEED must be an integer, got {value!r}\n"
+
+
+TOO_DEEP = [
+    "(" * 101 + "Here.x == 1" + ")" * 101,
+    "!" * 500 + "Here.x == 1",
+    " && ".join(["Here.x == 1"] * 500),
+    "Here.x == 9223372036854775808",
+]
+
+
+@pytest.mark.parametrize("guard", TOO_DEEP, ids=["parens", "nots", "ands", "int"])
+def test_unprocessable_guards_exit_2_from_check_and_simulate(capsys, tmp_path, guard):
+    code, out, err = run(capsys, "check", MERGE, "--guard", guard)
+    assert (code, out) == (2, "") and err.startswith("error: line 1, col ")
+    data = json.loads(fixture_path("merge_review").read_text())
+    data["guards"][0]["guard"] = guard
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", str(scenario))
+    assert (code, out) == (2, "") and err.startswith("error: line 1, col ")
+    assert "nested deeper" in err or "64-bit" in err
+
+
 def test_simulate_rejects_bad_scenarios(capsys, tmp_path):
     bad = tmp_path / "sc.json"
     bad.write_text(json.dumps({"lifelines": ["A"], "events": [], "succ": [],

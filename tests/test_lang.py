@@ -9,6 +9,7 @@ from cplkit.lang import (
     At,
     Atom,
     AtField,
+    MAX_NESTING,
     Lit,
     LocalVar,
     Not,
@@ -28,10 +29,17 @@ from cplkit.lang import (
     walk,
 )
 from cplkit.rng import SplitMix64
-from cplkit.simulator import FuzzParams, gen_random_msc, random_formula
-from cplkit.denot import sat
+from cplkit.simulator import (
+    FuzzParams,
+    differential_check,
+    gen_random_msc,
+    random_formula,
+    sample_linear_extension,
+)
+from cplkit.denot import sat, sat_table
+from cplkit.trace import load_trace
 
-from oracles import reachability, naive_sat
+from oracles import chart, ev, naive_sat, reachability, vars_of
 
 LIFELINES = ("TestRunner", "Security", "Committer", "A", "B")
 LSET = set(LIFELINES)
@@ -131,6 +139,75 @@ def test_parse_errors_carry_position():
         parse_guard("Here.x == at", LSET)
     with pytest.raises(ParseError, match="expected '\\('"):
         parse_guard("seen == 1", LSET)
+
+
+# Wrappers around a formula text, each with the levels it adds.
+WRAPPERS = [
+    ("!({})", 2), ("Y({})", 1), ("at(A, {})", 1), ("({} || Here.y == 2)", 2),
+    ("P[B]({})", 1), ("(Here.b == 1 S ({}))", 3), ("({} && At[B].x == 3)", 2),
+]
+
+
+def guard_of_depth(depth):
+    text, levels, i = "Here.x == 1", 0, 0
+    while levels < depth:
+        wrap, n = WRAPPERS[i % len(WRAPPERS)]
+        if levels + n > depth:
+            wrap, n = "({})", 1
+        text, levels, i = wrap.format(text), levels + n, i + 1
+    return text
+
+
+def test_guard_at_the_nesting_bound_goes_through_the_pipeline():
+    text = guard_of_depth(MAX_NESTING)
+    f = parse_guard(text, LSET)
+    assert parse_guard(pretty(f), LSET) == f
+    core = expand_derived(f, ("A", "B"))
+    gs = close_guards([core])
+    m = load_trace(chart(
+        ["A", "B"],
+        [ev(0, "A", "send", vars_of(x=1, b=1), to="B"), ev(1, "B", "recv", vars_of(x=3)),
+         ev(2, "B", "act", vars_of(x=1, y=2)), ev(3, "A", "act", vars_of(x=1))],
+        succ=[(0, 3), (1, 2)], messages=[(0, 1)],
+    ))
+    rows = sat_table(m, gs)
+    assert all(len(rows[e]) == len(gs.sub) for e in m.events)
+    for seed in range(3):
+        assert differential_check(m, gs, sample_linear_extension(m, seed)).ok
+
+
+@pytest.mark.parametrize("text", [
+    guard_of_depth(MAX_NESTING + 1),
+    "!" + guard_of_depth(MAX_NESTING),
+    "(" * (MAX_NESTING + 1) + "x == 1" + ")" * (MAX_NESTING + 1),
+    "!" * 500 + "x == 1",
+    " && ".join(["x == 1"] * 500),
+    " || ".join(["x == 1"] * (MAX_NESTING + 2)),
+    " S ".join(["x == 1"] * (MAX_NESTING + 2)),
+    "(" * 200 + "x == 1" + ")" * 200,
+], ids=["wrapped", "not-wrapped", "parens", "nots", "ands", "ors", "since", "parens-200"])
+def test_guards_past_the_nesting_bound_are_parse_errors(text):
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as exc:
+        parse_guard(text, LSET)
+    assert exc.value.line == 1 and exc.value.col > 1
+
+
+def test_chains_count_one_level_per_operator():
+    for op in ("&&", "||", "S"):
+        parse_guard(f" {op} ".join(["x == 1"] * (MAX_NESTING + 1)), LSET)
+    parse_guard("!" * (MAX_NESTING - 1) + "false", LSET)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_guard("!" * MAX_NESTING + "false", LSET)  # false is !true
+
+
+def test_integer_literals_are_64_bit():
+    for n in (2**63 - 1, -(2**63), 0):
+        assert parse_guard(f"Here.x == {n}", LSET).right == Lit(n)
+    assert parse_guard("Here.x == 000000000000000000000001", LSET).right == Lit(1)
+    for text in (str(2**63), str(-(2**63) - 1), "9" * 5000):
+        with pytest.raises(ParseError, match="64-bit") as exc:
+            parse_guard(f"Here.x ==\n  {text}", LSET)
+        assert (exc.value.line, exc.value.col) == (2, 3)
 
 
 def test_keywords_allowed_after_dot():

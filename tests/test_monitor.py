@@ -1,6 +1,7 @@
 """Online monitor: event updates, local evaluation, coherence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,7 +134,6 @@ def test_merge_scenario_committer_sequence():
         EventDescriptor(
             kind=EventKind("choice"),
             store_after={"candidate": "rev-17"},
-            guard_index=0,
         ),
     )
     assert s.last_vals[0] is True
@@ -168,8 +168,6 @@ def test_descriptor_validation():
         on_event(s, EventDescriptor(kind=EventKind("recv"), store_after={}))
     with pytest.raises(MonitorError, match="own lifeline"):
         on_event(s, EventDescriptor(kind=EventKind("send", "A"), store_after={}))
-    with pytest.raises(MonitorError, match="non-choice"):
-        on_event(s, EventDescriptor(kind=EventKind("act"), store_after={}, guard_index=0))
     with pytest.raises(MonitorError, match="unknown mutation"):
         on_event(s, act({}), mutation="nonsense")
 
@@ -349,19 +347,17 @@ def test_payload_wire_round_trip():
 
 def test_payload_wire_validates_presence():
     with pytest.raises(MonitorError, match="unseen lifeline"):
-        MessagePayload.from_wire(
-            {"vc": {"A": 0}, "view": {"A": "1"}, "var": [], "payload": ""}, 1
-        )
+        MessagePayload.from_wire({"vc": {"A": 0}, "view": {"A": "1"}, "var": {"A": {}}}, 1)
     with pytest.raises(MonitorError, match="unseen lifeline"):
         MessagePayload.from_wire(
-            {"vc": {"A": 1}, "view": {"A": "1", "B": "0"}, "var": [], "payload": ""}, 2
+            {"vc": {"A": 1}, "view": {"A": "1", "B": "0"}, "var": {"A": {}, "B": {}}}, 2
         )
 
 
-def wire(vc=None, view=None, var=()):
+def wire(vc=None, view=None, var=None):
     return {"vc": {"A": 1} if vc is None else vc,
             "view": {"A": "1"} if view is None else view,
-            "var": list(var), "payload": ""}
+            "var": {"A": {}} if var is None else var}
 
 
 def test_view_rows_are_canonical_hex_bitsets():
@@ -417,9 +413,51 @@ def test_payload_wire_rejects_negative_clock():
 def test_payload_wire_rejects_malformed_tables():
     for data in (None, {"vc": []}, wire(view=[["A", 0, True]]), {**wire(), "view": []},
                  {"vc": {"A": 1}, "var": []}, wire(view={1: "1"}),
-                 wire(var=[["A", 1, {"int": 1}]]), wire(var=[["A", "x", 1]])):
+                 wire(var={"A": {1: {"int": 1}}}), wire(var={"A": {"x": 1}})):
         with pytest.raises(MonitorError):
             MessagePayload.from_wire(data, 1)
+
+
+def test_payload_wire_is_exactly_vc_view_and_var():
+    gs = guards_of("At[A].x == 1", lifelines=("A", "B"))
+    s = init_monitor("A", gs, ("A", "B"))
+    _, payload = on_event(s, EventDescriptor(kind=EventKind("send", "B"), store_after={}))
+    assert payload.to_wire() == {"vc": {"A": 1, "B": 0}, "view": {"A": "0"}, "var": {"A": {}}}
+    for key in ("vc", "view", "var"):
+        data = wire()
+        del data[key]
+        with pytest.raises(MonitorError, match="keys vc, view and var"):
+            MessagePayload.from_wire(data, 1)
+    for extra in ({"payload": ""}, {"store": {}}, {"vc2": {}}):
+        with pytest.raises(MonitorError, match="keys vc, view and var"):
+            MessagePayload.from_wire({**wire(), **extra}, 1)
+
+
+def test_payload_wire_view_and_var_name_the_same_lifelines():
+    both = {"A": 1, "B": 1}
+    for view, var in (({"A": "1"}, {}), ({"A": "1"}, {"A": {}, "B": {}}),
+                      ({"A": "1", "B": "0"}, {"B": {}}), ({}, {"A": {}})):
+        with pytest.raises(MonitorError, match="same lifelines"):
+            MessagePayload.from_wire(wire(vc=both, view=view, var=var), 1)
+
+
+@pytest.mark.parametrize("row", [
+    [], "x", None, {"x": 1}, {"x": {"float": 1.5}}, {"x": {"int": 2**63}},
+    {"x": {"int": -(2**63) - 1}}, {"x": {"int": "1"}}, {"x": {"int": 1, "str": "a"}},
+    {"": {"int": 1}},
+])
+def test_payload_wire_rejects_bad_valuations(row):
+    with pytest.raises(MonitorError):
+        MessagePayload.from_wire(wire(var={"A": row}), 1)
+
+
+def test_readme_payload_example_round_trips():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Message payload wire format**", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    payload = MessagePayload.from_wire(example, 5)
+    assert payload.view["A"] == (True, False, True, True, True)
+    assert payload.to_wire() == example
 
 
 def test_receive_ahead_without_view_row_is_a_monitor_error():

@@ -136,8 +136,8 @@ def test_merge_scenario_verdicts():
 def test_run_logs_are_byte_identical_per_seed():
     sc = load_scenario(fixture_path("merge_review"))
     g = sc.guard_set()
-    a = run_scenario(sc, g, seed=123).to_json()
-    b = run_scenario(sc, g, seed=123).to_json()
+    a = run_scenario(sc, g, seed=123).to_dict()
+    b = run_scenario(sc, g, seed=123).to_dict()
     assert a == b
 
 

@@ -88,12 +88,12 @@ JSON = st.recursive(
 NAMES = st.sampled_from(["A", "B", ""]) | st.text(max_size=2)
 ROWS = st.text("0123456789abcdefABx_-+ \n", max_size=6) | st.integers() | JSON
 VALUES = st.dictionaries(st.sampled_from(["int", "str", "bool"]), JSON, max_size=2)
-TRIPLES = st.tuples(NAMES, NAMES, VALUES).map(list)
+VALUATIONS = st.dictionaries(NAMES, VALUES | JSON, max_size=3)
 NEAR_PAYLOADS = st.fixed_dictionaries(
     {
         "vc": st.dictionaries(NAMES, st.integers(-2, 3) | JSON, max_size=3) | JSON,
         "view": st.dictionaries(NAMES, ROWS, max_size=3) | JSON,
-        "var": st.lists(TRIPLES | JSON, max_size=3) | JSON,
+        "var": st.dictionaries(NAMES, VALUATIONS | JSON, max_size=3) | JSON,
     },
     optional={"payload": JSON},
 )
