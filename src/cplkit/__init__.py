@@ -31,6 +31,7 @@ from .msc import EventKind, Msc, MscError, MscReport, validate_msc
 from .simulator import (
     DifferentialReport,
     FuzzParams,
+    Oracle,
     RunLog,
     Scenario,
     ScenarioError,
@@ -39,6 +40,7 @@ from .simulator import (
     gen_random_formulas,
     gen_random_msc,
     load_scenario,
+    prepare_oracle,
     run_scenario,
     sample_linear_extension,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "Msc",
     "MscError",
     "MscReport",
+    "Oracle",
     "ParseError",
     "RunLog",
     "Scenario",
@@ -80,6 +83,7 @@ __all__ = [
     "load_trace",
     "on_event",
     "parse_guard",
+    "prepare_oracle",
     "pretty",
     "run_scenario",
     "sample_linear_extension",

@@ -26,7 +26,6 @@ from .lang import (
     LocalVar,
     Operand,
     close_guards,
-    is_core,
 )
 from .msc import Msc, Value
 
@@ -129,7 +128,5 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
 def sat(m: Msc, e: int, f: Formula) -> bool:
     """Does the chart satisfy ``f`` at event ``e``? Core formulas only."""
     m._check_event(e)
-    if not is_core(f):
-        raise ValueError("formula contains derived forms; expand first")
-    gs = close_guards([f])
+    gs = close_guards([f])  # raises ValueError on derived forms
     return sat_table(m, gs)[e][gs.guard_pos[0]]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 from .msc import INT64_MAX, INT64_MIN
@@ -589,37 +590,61 @@ class GuardSet:
 
     formulas: tuple[Formula, ...]
     sub: tuple[Formula, ...]
-    index: dict[Formula, int]
     plan: tuple[tuple, ...]
     guard_pos: tuple[int, ...]
     cross_vars: frozenset[str]
     local_vars: frozenset[str]
 
+    @cached_property
+    def index(self) -> dict[Formula, int]:
+        # Built on first use: hashing a formula walks its whole tree.
+        return {f: i for i, f in enumerate(self.sub)}
+
 
 def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:
-    """Close core-only guards under subformulas (expand derived forms first)."""
-    for f in formulas:
-        if not is_core(f):
-            raise ValueError("guard contains derived forms; call expand_derived first")
+    """Close core-only guards under subformulas (expand derived forms first).
+
+    Two subformulas are the same exactly when their plan steps are, since
+    the steps name children by position; so the closure hashes only steps,
+    never whole trees. A node object is visited once however often it is
+    shared, as ``expand_derived`` shares the body of ``P(f)`` between
+    lifelines.
+    """
     sub: list[Formula] = []
-    index: dict[Formula, int] = {}
     plan: list[tuple] = []
+    step_pos: dict[tuple, int] = {}
+    node_pos: dict[int, int] = {}  # id(node) -> position; nodes live in formulas
 
-    def visit(f: Formula) -> int:
-        pos = index.get(f)
-        if pos is not None:
-            return pos
-        a, b = ([visit(c) for c in children(f)] + [None, None])[:2]
-        if isinstance(f, Atom):
+    # Post-order over an explicit stack, so deep guards do not recurse. A
+    # node is pushed again, with its children, until they have positions.
+    stack: list[tuple[Formula, tuple | None]] = [(f, None) for f in reversed(formulas)]
+    while stack:
+        f, kids = stack.pop()
+        if id(f) in node_pos:
+            continue
+        if kids is None:
+            if type(f) not in OPCODES:
+                raise ValueError(
+                    "guard contains derived forms; call expand_derived first"
+                )
+            kids = children(f)
+            if kids:
+                stack.append((f, kids))
+                stack.extend([(c, None) for c in reversed(kids)])
+                continue
+        a, b = ([node_pos[id(c)] for c in kids] + [None, None])[:2]
+        op = OPCODES[type(f)]
+        if op == "atom":
             a = f
-        elif isinstance(f, At):
+        elif op == "at":
             b = f.lifeline
-        pos = index[f] = len(sub)
-        sub.append(f)
-        plan.append((OPCODES[type(f)], a, b))
-        return pos
-
-    guard_pos = tuple(visit(f) for f in formulas)
+        step = (op, a, b)
+        pos = step_pos.get(step)
+        if pos is None:
+            pos = step_pos[step] = len(sub)
+            sub.append(f)
+            plan.append(step)
+        node_pos[id(f)] = pos
 
     cross: set[str] = set()
     local: set[str] = set()
@@ -634,9 +659,8 @@ def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:
     return GuardSet(
         formulas=tuple(formulas),
         sub=tuple(sub),
-        index=index,
         plan=tuple(plan),
-        guard_pos=guard_pos,
+        guard_pos=tuple(node_pos[id(f)] for f in formulas),
         cross_vars=frozenset(cross),
         local_vars=frozenset(local),
     )

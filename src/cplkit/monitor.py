@@ -328,6 +328,7 @@ def check_coherence(
     denot_rows: dict[int, tuple[bool, ...]] | None = None,
     counts: dict[str, int] | None = None,
     phase: str = "pre",
+    var_rows: dict[int, frozenset] | None = None,
 ) -> CoherenceReport:
     """Does this state correctly describe the causal past of ``e``?
 
@@ -350,7 +351,8 @@ def check_coherence(
     ``e`` itself.
 
     ``e=None`` checks the empty-prefix base case of a fresh monitor.
-    ``denot_rows``/``counts`` let callers reuse precomputed oracle data.
+    ``denot_rows``, ``counts`` and ``var_rows`` (see
+    :func:`expected_var_rows`) let callers reuse precomputed oracle data.
     """
     if phase not in ("pre", "post"):
         raise MonitorError(f"unknown coherence phase {phase!r}")
@@ -377,8 +379,10 @@ def check_coherence(
         }
     if denot_rows is None:
         denot_rows = sat_table(m, gs)
+    if var_rows is None:
+        var_rows = expected_var_rows(m, gs.cross_vars)
 
-    i_bad = [
+    i_bad = [] if s.vc == counts else [
         f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
         for b in m.lifelines
         if s.vc.get(b, 0) != counts[b]
@@ -400,7 +404,7 @@ def check_coherence(
         target = m.events_of(b)[k - 1]
         if s.view[b] != denot_rows[target]:
             ii_bad.append(f"{b}: view row differs from event {target}")
-        if not var_row_matches(s.var[b], m.val[target], gs.cross_vars):
+        if tagged_row(s.var[b]) != var_rows[target]:
             ii_bad.append(f"{b}: value row differs from event {target}")
     conditions = {
         "i": (not i_bad, "; ".join(i_bad)),
@@ -414,7 +418,7 @@ def check_coherence(
     for x in sorted(gs.local_vars | gs.cross_vars):
         if not values_equal(s.store.get(x), nu.get(x)):
             iii_bad.append(f"store[{x}] != valuation at {e}")
-    if not var_row_matches(s.var.get(s.me, {}), nu, gs.cross_vars):
+    if tagged_row(s.var.get(s.me, {})) != var_rows[e]:
         iii_bad.append("local value row does not mirror the valuation")
 
     prev = m.last_loc(e)
@@ -426,10 +430,16 @@ def check_coherence(
     return CoherenceReport(conditions)
 
 
-def var_row_matches(
-    row: dict[str, Value], valuation: Valuation, cross_vars: frozenset[str]
-) -> bool:
-    expected = {x: valuation[x] for x in cross_vars if x in valuation}
-    if set(row) != set(expected):
-        return False
-    return all(values_equal(row[x], expected[x]) for x in row)
+def tagged_row(row: dict[str, Value]) -> frozenset:
+    """A value row in a form whose equality is tag-exact, so that ``True``
+    and ``1`` differ."""
+    return frozenset((x, type(v), v) for x, v in row.items())
+
+
+def expected_var_rows(m: Msc, cross_vars: frozenset[str]) -> dict[int, frozenset]:
+    """Per event, the value row that describes it: its valuation
+    restricted to ``cross_vars``, as a :func:`tagged_row`."""
+    return {
+        e: tagged_row({x: v for x, v in m.val[e].items() if x in cross_vars})
+        for e in m.events
+    }

@@ -23,6 +23,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from typing import NamedTuple
 
 from .denot import sat_table
 from .lang import (
@@ -53,6 +54,7 @@ from .monitor import (
     MonitorState,
     begin_event,
     check_coherence,
+    expected_var_rows,
     finish_event,
     init_monitor,
 )
@@ -562,6 +564,31 @@ def causal_past_sets(m: Msc) -> dict[int, set[int]]:
     return past
 
 
+class Oracle(NamedTuple):
+    """The denotational side of differential checks on one chart and
+    guard set, which no schedule changes: the ``sat_table`` rows, per
+    event the clock it must have (each lifeline's count in its BFS causal
+    past) and the value row describing it (see
+    :func:`~cplkit.monitor.expected_var_rows`)."""
+
+    msc: Msc
+    guards: GuardSet
+    rows: dict[int, tuple[bool, ...]]
+    counts: dict[int, dict[str, int]]
+    var_rows: dict[int, frozenset]
+
+
+def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
+    """Build the oracle once for all schedules of ``m`` under ``g``."""
+    past = causal_past_sets(m)
+    counts: dict[int, dict[str, int]] = {}
+    for e in m.events:
+        counts[e] = dict.fromkeys(m.lifelines, 0)
+        for f in past[e]:
+            counts[e][m.pid[f]] += 1
+    return Oracle(m, g, sat_table(m, g), counts, expected_var_rows(m, g.cross_vars))
+
+
 @dataclass
 class DifferentialReport:
     """The divergences of one replay (``runs == 1``) or of a sweep of
@@ -615,6 +642,7 @@ def differential_check(
     extension: list[int],
     mutation: str | None = None,
     fail_fast: bool = False,
+    oracle: Oracle | None = None,
 ) -> DifferentialReport:
     """Replay the chart along ``extension`` and verify, at every event:
 
@@ -625,21 +653,20 @@ def differential_check(
     * after the update, clocks match BFS causal-past counts, view/value
       rows exist exactly for causally seen lifelines, and describe the
       latest visible event of each (the same checker, phase ``"post"``).
+
+    ``oracle`` is :func:`prepare_oracle` of this very ``m`` and ``g``,
+    for callers that check several schedules; without it, one is built.
     """
+    if oracle is not None and (oracle.msc is not m or oracle.guards is not g):
+        raise ScenarioError("oracle was prepared for another chart or guard set")
     report = DifferentialReport(runs=1)
     if not extension and not m.events:
         return report
     if not m.is_linear_extension(extension):
         raise ScenarioError("supplied order is not a linear extension")
-
-    rows = sat_table(m, g)
-    past = causal_past_sets(m)
-    counts: dict[int, dict[str, int]] = {
-        e: {b: 0 for b in m.lifelines} for e in m.events
-    }
-    for e in m.events:
-        for f in past[e]:
-            counts[e][m.pid[f]] += 1
+    if oracle is None:
+        oracle = prepare_oracle(m, g)
+    rows, counts, var_rows = oracle.rows, oracle.counts, oracle.var_rows
 
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
@@ -651,7 +678,7 @@ def differential_check(
         desc = _descriptor(m, e, payloads)
         begin_event(state, desc, mutation)
 
-        coherence = check_coherence(state, m, e, denot_rows=rows, counts=counts[e])
+        coherence = check_coherence(state, m, e, rows, counts[e], var_rows=var_rows)
         if not coherence.ok:
             report.coherence_failures.append(
                 {"event": e, "failures": coherence.failures()}
@@ -681,7 +708,9 @@ def differential_check(
             if fail_fast:
                 return report
 
-        post = check_coherence(state, m, e, rows, counts[e], phase="post")
+        post = check_coherence(
+            state, m, e, rows, counts[e], phase="post", var_rows=var_rows
+        )
         if not post.ok:
             report.invariant_failures.append({"event": e, "failures": post.failures()})
             if fail_fast:
@@ -698,15 +727,18 @@ def fuzz_instance(
     p: FuzzParams, extensions: int, mutation: str | None = None,
     fail_fast: bool = True,
 ) -> DifferentialReport:
-    """One generated chart + guard set, checked along several schedules.
-    Failure records carry the instance's ``seed``."""
+    """One generated chart + guard set, checked along several schedules
+    against one oracle. Failure records carry the instance's ``seed``."""
     report = DifferentialReport(instances=1)
     m = gen_random_msc(p)
     g = gen_random_formulas(p, m.lifelines)
+    oracle = prepare_oracle(m, g)
     schedule_rng = SplitMix64(p.seed ^ 0xA5A5A5A5A5A5A5A5)
     for _ in range(extensions):
         ext = sample_linear_extension(m, schedule_rng.next_u64())
-        report.add(differential_check(m, g, ext, mutation, fail_fast), seed=p.seed)
+        report.add(
+            differential_check(m, g, ext, mutation, fail_fast, oracle), seed=p.seed
+        )
         if fail_fast and not report.ok:
             break
     return report

@@ -76,7 +76,10 @@ def decode_valuation(obj: object, where: str) -> Valuation:
     for name, raw in obj.items():
         if not isinstance(name, str) or not name:
             raise TraceFormatError(f"{where}: bad variable name {name!r}")
-        out[name] = decode_value(raw)
+        try:
+            out[name] = decode_value(raw)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{where}: variable {name!r}: {exc}") from None
     return out
 
 

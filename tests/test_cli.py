@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -90,6 +91,23 @@ def test_check_bad_inputs_exit_2(capsys, tmp_path):
     )
     code, _, err = run(capsys, "check", str(broken))
     assert code == 2 and "not well-formed" in err
+
+
+def test_check_names_the_event_and_variable_of_a_bad_value(capsys, tmp_path):
+    bad = tmp_path / "bad_value.json"
+    bad.write_text(json.dumps(chart(
+        ["A"],
+        [ev(0, "A", "act", vars_of(x=1)),
+         ev(1, "A", "act", {"x": {"int": 1}, "big": {"int": 99999999999999999999}})],
+        succ=[(0, 1)],
+    )))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert (
+        "events[1]: variable 'big': int value out of 64-bit range: 99999999999999999999"
+        in err
+    )
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------- #
@@ -262,6 +280,30 @@ def test_fuzz_jobs_fail_fast_matches_serial(capsys):
         a, b = json.loads(serial), json.loads(parallel)
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert a == b, mode
+
+
+#: sha256 of the JSON summary minus ``elapsed_seconds`` (sorted keys, no
+#: spaces) and the exit code of ``cplkit fuzz --seed 5`` with these flags.
+#: A faster checker must report exactly the same verdicts and counts.
+PINNED_FUZZ = [
+    (("--seeds", "50"), 0,
+     "b4e2a29a4e3564150aa69667d2e6a47d7819195ba9fdf7783ce40c67aa65c992"),
+    (("--seeds", "200", "--mutate", "strict-at"), 1,
+     "b3ebca018faeab33c672b08b533b292fdb23efdb666652cd92c3a61230ca66a3"),
+    (("--seeds", "200", "--mutate", "live-old", "--keep-going"), 1,
+     "ac993f3ccc80fb5f78bb23bc93376a127ca6e594d77d85ac3ce5b8c2e56d89eb"),
+    (("--seeds", "200", "--mutate", "swap-merge-order", "--jobs", "2"), 1,
+     "8d6df967561d05aefde773a53d61fdab85cf7185ad1531673be2d898308f3e21"),
+]
+
+
+@pytest.mark.parametrize("flags, exit_code, digest", PINNED_FUZZ)
+def test_fuzz_output_is_pinned(capsys, flags, exit_code, digest):
+    code, out, _ = run(capsys, "fuzz", *flags, "--seed", "5")
+    summary = json.loads(out)
+    summary.pop("elapsed_seconds")
+    text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (exit_code, digest)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Guard parsing, printing, derived-form expansion, subformula closure."""
 
+import time
+
 import pytest
 
 from cplkit.lang import (
@@ -33,10 +35,12 @@ from cplkit.simulator import (
     FuzzParams,
     differential_check,
     gen_random_msc,
+    load_scenario,
     random_formula,
     sample_linear_extension,
 )
 from cplkit.denot import sat, sat_table
+from cplkit.fixtures import fixture_path
 from cplkit.trace import load_trace
 
 from oracles import chart, ev, naive_sat, reachability, vars_of
@@ -334,6 +338,58 @@ def test_literal_tags_stay_distinct_in_closure():
     b = Atom("==", LocalVar("x"), Lit(True))
     gs = close_guards([a, b])
     assert len(gs.sub) == 2
+
+
+def hashed_closure(formulas):
+    """Reference closure keyed on whole formulas: ``(sub, plan,
+    guard_pos)`` with each subformula placed after its children, in the
+    order of a left-to-right depth-first walk."""
+    sub, index, plan = [], {}, []
+
+    def visit(f):
+        if f not in index:
+            a, b = ([visit(c) for c in children(f)] + [None, None])[:2]
+            if isinstance(f, Atom):
+                a = f
+            elif isinstance(f, At):
+                b = f.lifeline
+            index[f] = len(sub)
+            sub.append(f)
+            plan.append((OPCODES[type(f)], a, b))
+        return index[f]
+
+    guard_pos = tuple(visit(f) for f in formulas)
+    return tuple(sub), tuple(plan), guard_pos
+
+
+def test_closure_matches_hashed_reference():
+    guard_sets = [
+        load_scenario(fixture_path(name)).guard_formulas()[0]
+        for name in ("merge_review", "merge_review_stale_candidate",
+                     "merge_review_failure_first")
+    ]
+    guard_sets.append([expand_derived(parse_guard(t, LSET), LIFELINES) for t in CORPUS])
+    guard_sets += [gs.formulas for gs in random_guard_sets(93, count=100)]
+    for formulas in guard_sets:
+        gs = close_guards(formulas)
+        sub, plan, guard_pos = hashed_closure(formulas)
+        assert (gs.sub, gs.plan, gs.guard_pos) == (sub, plan, guard_pos)
+        assert all(x is y for x, y in zip(gs.sub, sub))
+        assert gs.index == {f: i for i, f in enumerate(sub)}
+
+
+def test_nested_past_closes_in_linear_time():
+    """``P(f)`` expands to one disjunct per lifeline, all sharing ``f``, so
+    a closure that hashes whole trees takes time exponential in the
+    nesting."""
+    lifelines = tuple(f"L{i}" for i in range(8))
+    text = "P(" * 7 + "Here.x == 1" + ")" * 7
+    f = expand_derived(parse_guard(text, set(lifelines)), lifelines)
+    started = time.perf_counter()
+    gs = close_guards([f])
+    assert time.perf_counter() - started < 1.0
+    # per level: 8 at-steps, 7 disjunctions and the shared since-step
+    assert len(gs.sub) == 2 + 7 * 16
 
 
 # ---------------------------------------------------------------------- #

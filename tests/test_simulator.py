@@ -36,10 +36,12 @@ from cplkit.simulator import (
     gen_random_formulas,
     gen_random_msc,
     load_scenario,
+    prepare_oracle,
     random_formula,
     run_scenario,
     sample_linear_extension,
 )
+from cplkit.monitor import MUTATIONS
 from cplkit.trace import load_trace
 
 from oracles import all_topo_sorts, chart, ev, vars_of
@@ -416,6 +418,38 @@ def test_rejects_non_extension_orders():
     ext[0], ext[-1] = ext[-1], ext[0]
     with pytest.raises(ScenarioError, match="not a linear extension"):
         differential_check(sc.msc, sc.guard_set(), ext)
+
+
+def test_prepared_oracle_gives_the_same_reports():
+    """One oracle shared by every schedule and mutation reports exactly
+    what a check that builds its own does."""
+    for seed in range(100):
+        p = FuzzParams(seed=seed)
+        m = gen_random_msc(p)
+        g = gen_random_formulas(p, m.lifelines)
+        oracle = prepare_oracle(m, g)
+        ext = sample_linear_extension(m, seed)
+        for mutation in (None, *MUTATIONS):
+            for fail_fast in (False, True):
+                own = differential_check(m, g, ext, mutation, fail_fast)
+                shared = differential_check(m, g, ext, mutation, fail_fast, oracle)
+                assert shared.to_dict() == own.to_dict(), (seed, mutation)
+
+
+def test_oracle_of_another_chart_or_guard_set_is_refused():
+    p, q = FuzzParams(seed=3), FuzzParams(seed=4)
+    m = gen_random_msc(p)
+    g = gen_random_formulas(p, m.lifelines)
+    ext = sample_linear_extension(m, 0)
+    twin = gen_random_msc(p)  # equal chart, other object
+    for oracle in (
+        prepare_oracle(twin, g),
+        prepare_oracle(m, gen_random_formulas(q, m.lifelines)),
+        prepare_oracle(m, gen_random_formulas(p, m.lifelines)),
+    ):
+        with pytest.raises(ScenarioError, match="another chart or guard set"):
+            differential_check(m, g, ext, oracle=oracle)
+    assert differential_check(m, g, ext, oracle=prepare_oracle(m, g)).ok
 
 
 def replay_verdicts(m, g, ext):

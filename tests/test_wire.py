@@ -7,6 +7,7 @@ import json
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,3 +107,16 @@ def test_from_wire_raises_only_monitor_error(data, width):
         MessagePayload.from_wire(data, width)
     except MonitorError:
         pass
+
+
+def test_from_wire_names_the_lifeline_and_variable_of_a_bad_value():
+    data = {
+        "vc": {"A": 1},
+        "view": {"A": "0"},
+        "var": {"A": {"x": {"int": 99999999999999999999}}},
+    }
+    with pytest.raises(MonitorError) as exc:
+        MessagePayload.from_wire(data, 1)
+    assert str(exc.value) == (
+        "var of 'A': variable 'x': int value out of 64-bit range: 99999999999999999999"
+    )
