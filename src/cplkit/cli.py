@@ -54,12 +54,17 @@ def _fail(message: str) -> int:
 
 
 def _load_chart_and_guards(path: str):
-    """Accept a plain trace or a scenario file (a trace plus guards)."""
+    """Accept a plain trace or a scenario file (a trace plus guards); the
+    chart comes back well-formed, else :class:`TraceFormatError`."""
     data = read_json(path)
     if isinstance(data, dict) and ("guards" in data or "branches" in data):
         sc = load_scenario(data)
         return sc.msc, [sc.guard_texts[eid] for eid in sorted(sc.guard_texts)]
-    return load_trace(data), []
+    m = load_trace(data)
+    bad = [v.detail for v in validate_msc(m).violations]
+    if bad:
+        raise TraceFormatError(f"trace is not well-formed: {bad}")
+    return m, []
 
 
 def _at_least(low: int):
@@ -95,9 +100,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         m, embedded = _load_chart_and_guards(args.trace)
     except (OSError, TraceFormatError, ScenarioError) as exc:
         return _fail(str(exc))
-    report = validate_msc(m)
-    if not report.ok:
-        return _fail(f"trace is not well-formed: {[v.detail for v in report.violations]}")
 
     texts: list[str] = list(args.guard or [])
     if args.guards_file:
@@ -201,9 +203,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         m, _ = _load_chart_and_guards(args.trace)
     except (OSError, TraceFormatError, ScenarioError) as exc:
         return _fail(str(exc))
-    report = validate_msc(m)
-    if not report.ok:
-        return _fail(f"trace is not well-formed: {[v.detail for v in report.violations]}")
     if args.event not in m.kind:
         return _fail(f"no such event: {args.event}")
 

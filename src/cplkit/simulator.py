@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .denot import sat_table
@@ -35,6 +38,7 @@ from .lang import (
     GuardSet,
     Lit,
     LocalVar,
+    MAX_NESTING,
     Not,
     Or,
     PastAny,
@@ -71,49 +75,56 @@ class ScenarioError(Exception):
 # Scenarios
 # ---------------------------------------------------------------------- #
 
-@dataclass
-class Fragment:
-    """A branch continuation: extra events appended to the owner lifeline.
+#: A decoded continuation event: id, kind and valuation (its lifeline is
+#: the deciding choice's).
+Decoded = tuple[int, EventKind, Valuation]
 
-    Events are chained in list order after the owner's current last event.
-    They may send to another lifeline (the messages stay in transit within
-    the run) but may not receive, since no payload could be routed to them.
+
+@dataclass(frozen=True)
+class Scenario:
+    """A chart plus guard texts at choice events and optional branches.
+
+    A branch maps a guarded choice to its ``(then, else)`` arms: lists of
+    trace-schema event objects appended, in order, to the choice's lifeline
+    when the guard takes that arm. Arms may send but not receive. Building
+    a scenario checks the chart and every arm (:class:`ScenarioError`); it
+    is read-only, so a changed scenario is a new one (``dataclasses.replace``).
+    Guards are parsed and closed once, on first use.
     """
 
-    events: list[dict]  # raw event objects in the trace schema
-
-
-@dataclass
-class Scenario:
-    """A chart plus guard texts at choice events and optional branches."""
-
     msc: Msc
-    guard_texts: dict[int, str]
-    branches: dict[int, tuple[Fragment, Fragment]] = field(default_factory=dict)
-    # The last parse: the (lifelines, guard texts) it was made from, the
-    # formulas and the index map. Reused while both are unchanged.
-    _parsed: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    guard_texts: Mapping[int, str]
+    branches: Mapping[int, tuple[Sequence, Sequence]] = field(default_factory=dict)
+    _arms: dict = field(init=False, repr=False, compare=False)  # decoded branches
 
-    def guard_formulas(self) -> tuple[list[Formula], dict[int, int]]:
-        """Parse and expand the guards; returns the formula list (ordered by
-        choice event id) and the event-id -> guard-index mapping. Each
-        text is parsed once; editing ``guard_texts`` or replacing ``msc``
-        makes the next call parse again."""
-        source = (self.msc.lifelines, sorted(self.guard_texts.items()))
-        if self._parsed is None or self._parsed[0] != source:
-            lifelines = source[0]
-            formulas = [
-                expand_derived(parse_guard(text, set(lifelines)), lifelines)
-                for _, text in source[1]
-            ]
-            indices = {eid: i for i, (eid, _) in enumerate(source[1])}
-            self._parsed = (source, formulas, indices)
-        _, formulas, indices = self._parsed
-        return list(formulas), dict(indices)
+    def __post_init__(self) -> None:
+        report = validate_msc(self.msc)
+        if not report.ok:
+            raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
+        arms = {c: (tuple(a), tuple(b)) for c, (a, b) in self.branches.items()}
+        object.__setattr__(self, "guard_texts", MappingProxyType(dict(self.guard_texts)))
+        object.__setattr__(self, "branches", MappingProxyType(arms))
+        object.__setattr__(self, "_arms", _decode_branches(self))
+
+    @cached_property
+    def _guards(self) -> tuple[tuple[Formula, ...], Mapping[int, int], GuardSet]:
+        lifelines = self.msc.lifelines
+        items = sorted(self.guard_texts.items())
+        formulas = tuple(
+            expand_derived(parse_guard(text, set(lifelines)), lifelines)
+            for _, text in items
+        )
+        indices = MappingProxyType({eid: i for i, (eid, _) in enumerate(items)})
+        return formulas, indices, close_guards(formulas)
+
+    def guard_formulas(self) -> tuple[tuple[Formula, ...], Mapping[int, int]]:
+        """The expanded guards ordered by choice event id, and the
+        event-id -> guard-index mapping."""
+        return self._guards[:2]
 
     def guard_set(self) -> GuardSet:
-        formulas, _ = self.guard_formulas()
-        return close_guards(formulas)
+        """The closed guard set; the same object on every call."""
+        return self._guards[2]
 
 
 _SCENARIO_KEYS = {"lifelines", "events", "succ", "messages", "guards", "branches"}
@@ -153,7 +164,7 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError(f"guards[{i}]: duplicate guard for event {eid}")
         guard_texts[eid] = entry["guard"]
 
-    branches: dict[int, tuple[Fragment, Fragment]] = {}
+    branches: dict[int, tuple[list, list]] = {}
     for i, entry in enumerate(data.get("branches", [])):
         if (
             not isinstance(entry, dict)
@@ -168,36 +179,20 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError(f"branches[{i}]: event {eid} has no guard")
         if eid in branches:
             raise ScenarioError(f"branches[{i}]: duplicate branch for event {eid}")
-        branches[eid] = (
-            _parse_fragment(entry["then"], i, "then"),
-            _parse_fragment(entry["else"], i, "else"),
-        )
+        for arm in ("then", "else"):
+            obj = entry[arm]
+            if not isinstance(obj, dict) or set(obj) - {"events"}:
+                raise ScenarioError(f"branches[{i}].{arm}: expected {{events}}")
+            if not isinstance(obj.get("events", []), list):
+                raise ScenarioError(f"branches[{i}].{arm}: events must be a list")
+        branches[eid] = (entry["then"].get("events", []), entry["else"].get("events", []))
 
-    report = validate_msc(msc)
-    if not report.ok:
-        raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
-    sc = Scenario(msc=msc, guard_texts=guard_texts, branches=branches)
-    _decode_branches(sc)
-    return sc
-
-
-def _parse_fragment(obj, i: int, arm: str) -> Fragment:
-    if not isinstance(obj, dict) or set(obj) - {"events"}:
-        raise ScenarioError(f"branches[{i}].{arm}: expected {{events}}")
-    events = obj.get("events", [])
-    if not isinstance(events, list):
-        raise ScenarioError(f"branches[{i}].{arm}: events must be a list")
-    return Fragment(events=list(events))
-
-
-#: A decoded continuation event: id, kind and valuation (its lifeline is
-#: the deciding choice's).
-Decoded = tuple[int, EventKind, Valuation]
+    return Scenario(msc=msc, guard_texts=guard_texts, branches=branches)
 
 
 def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decoded]]]:
-    """Decode every continuation once and check that appending any arm
-    keeps the chart well-formed. Each event must be an object of the trace
+    """Decode every continuation and check that appending any arm keeps
+    the chart well-formed. Each event must be an object of the trace
     schema, not a receive, with an id used by no chart event and no other
     continuation event, on the lifeline of the choice that takes its
     branch (for choices inside continuations too). Guards must sit on
@@ -206,10 +201,10 @@ def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decode
     lifelines = set(sc.msc.lifelines)
     pid, kind = dict(sc.msc.pid), dict(sc.msc.kind)
     decoded: dict[int, tuple[list[Decoded], list[Decoded]]] = {}
-    for c, frags in sc.branches.items():
+    for c, arms in sc.branches.items():
         decoded[c] = ([], [])
-        for arm, frag, out in zip(("then", "else"), frags, decoded[c]):
-            for i, ev in enumerate(frag.events):
+        for arm, events, out in zip(("then", "else"), arms, decoded[c]):
+            for i, ev in enumerate(events):
                 where = f"branch at event {c}, {arm}[{i}]"
                 try:
                     eid, b, k, v = decode_event(ev, where, lifelines)
@@ -295,16 +290,14 @@ def run_scenario(
     message edges, verdicts recorded at guarded choice events, and branch
     continuations appended according to those verdicts.
 
-    ``g`` must be the scenario's own guard set (``sc.guard_set()``); it is
-    a separate argument because every monitor in a run must share one
-    closed set and callers may have built it already.
+    ``g`` must be the very object ``sc.guard_set()`` returns: every
+    monitor in a run shares it, and the verdict at each choice is read
+    at its guard's position in it.
     """
-    arms_of = _decode_branches(sc)
-    formulas, guard_index_of = sc.guard_formulas()
-    for i, f in enumerate(formulas):
-        if i >= len(g.guard_pos) or g.sub[g.guard_pos[i]] != f:
-            raise ScenarioError(f"guard {i} is not guard {i} of the supplied guard set")
-
+    if g is not sc.guard_set():
+        raise ScenarioError("guard set is not this scenario's own sc.guard_set()")
+    guard_index_of = sc.guard_formulas()[1]
+    arms_of = sc._arms
     m = sc.msc
     schedule = sample_linear_extension(m, seed)
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
@@ -376,6 +369,8 @@ class FuzzParams:
             self.formula_count,
         ) < 1 or self.formula_depth < 0 or not self.value_alphabet:
             raise ValueError("counts must be at least 1 (depth may be 0)")
+        if self.formula_depth > MAX_NESTING:
+            raise ValueError(f"formula depth must be at most {MAX_NESTING}")
         if not 0.0 <= self.message_prob <= 1.0:
             raise ValueError("message_prob must be in [0, 1]")
 

@@ -13,10 +13,11 @@ import cplkit
 from cplkit.cli import main
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
-from cplkit.lang import expand_derived, parse_guard
+from cplkit.lang import MAX_NESTING, expand_derived, parse_guard
 from cplkit.simulator import load_scenario
 
 from oracles import brute_causal_count, chart, ev, reachability, vars_of
+from scenarios import gen_scenario
 
 MERGE = str(fixture_path("merge_review"))
 
@@ -154,6 +155,45 @@ def test_simulate_unwritable_out_exits_2(capsys, tmp_path, where):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+#: sha256 of the stdout of ``cplkit simulate <scenario> --extensions 3
+#: --seed S``: each fixture, and ``gen_scenario(4, depth=3)`` (branches
+#: nested inside continuations). Orders, verdicts, ``payload_bytes`` and
+#: snapshots must stay byte-identical across refactors.
+PINNED_SIMULATE = [
+    ("merge_review", 0, "ab1de6f0e7a00e0abb1d6d5307879cfd4598e34896f35a2baaad62139a9ba2a3"),
+    ("merge_review", 1, "b88e5db0284a68f00e6b73733c1b2577b6ca7e485749cfad1ca5da806a940f06"),
+    ("merge_review", 2, "93334a715717e9d929f7d18fa4f7390dc7f6c80a5c2771d893919d13d7360428"),
+    ("merge_review_failure_first", 0,
+     "2e1151204ca9197f8d313984dbb5121aabe9dfbdef8ffc6418a96039d5bbb4cd"),
+    ("merge_review_failure_first", 1,
+     "0403ecf3b474850f0ecf8056c947822eebec6b5b94d8ff25fe865bbd925235fb"),
+    ("merge_review_failure_first", 2,
+     "d0f0262069c618b9a27881d03e18b193d2b454c83ab1c67d5969eeb8c7fb3f91"),
+    ("merge_review_stale_candidate", 0,
+     "cb4ff5a733d3d4d7d669e4281fdc67055a6be80e0680b86b67ce3fce3e97f8b7"),
+    ("merge_review_stale_candidate", 1,
+     "589d95cc0a0b7eb4cf5c4afeb54503744d6a19113d3e5068e7c6650d7cb1bfe3"),
+    ("merge_review_stale_candidate", 2,
+     "d2e29c5d150049b44adf5595241909afc2cb5b3abf38d1421a9283cd9dfc8a7f"),
+    ("generated", 0, "229303baf76ef0d28fca05c3aec43211f08a943ee99ade5b02ea30fecb4a735a"),
+    ("generated", 1, "c9290108d3ea08edf5ca5478b9b5f0597b0c1e09f0a5fdd848a59f0661adcf00"),
+    ("generated", 2, "b8b371c2d205ebb0b662884dcdc5f0fb4bb55921e97c5e8e941a614777c2b158"),
+]
+
+
+@pytest.mark.parametrize("name, seed, digest", PINNED_SIMULATE)
+def test_simulate_output_is_pinned(capsys, tmp_path, name, seed, digest):
+    if name == "generated":
+        path = tmp_path / "generated.json"
+        path.write_text(json.dumps(gen_scenario(4, depth=3)))
+    else:
+        path = fixture_path(name)
+    code, out, _ = run(
+        capsys, "simulate", str(path), "--extensions", "3", "--seed", str(seed)
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_simulate_cpl_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("CPL_SEED", "99")
     _, from_env, _ = run(capsys, "simulate", MERGE)
@@ -223,6 +263,14 @@ def test_fuzz_zero_seeds(capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["instances"] == 0 and summary["ok"]
+
+
+def test_fuzz_depth_is_bounded_by_the_parser(capsys):
+    code, out, err = run(capsys, "fuzz", "--depth", str(MAX_NESTING + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: formula depth must be at most {MAX_NESTING}\n"
+    code, out, _ = run(capsys, "fuzz", "--depth", str(MAX_NESTING), "--seeds", "1")
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_fuzz_small_sweep_passes(capsys):
@@ -394,6 +442,18 @@ def test_explain_indices_equal_brute_counts(capsys):
 def test_explain_unknown_event_exits_2(capsys):
     code, _, err = run(capsys, "explain", MERGE, "--event", "42")
     assert code == 2 and "no such event" in err
+
+
+@pytest.mark.parametrize("command", ["check", "explain"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [({}, "trace is not well-formed"), ({"guards": []}, "scenario chart is not well-formed")],
+)
+def test_ill_formed_charts_exit_2(capsys, tmp_path, command, extra, message):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({**chart(["A"], [ev(0, "A", "recv")]), **extra}))
+    code, out, err = run(capsys, command, str(path), "--event", "0")
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}: ")
 
 
 def test_explain_pretty_is_human_readable(capsys):

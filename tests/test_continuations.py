@@ -12,7 +12,6 @@ from cplkit.denot import sat_table
 from cplkit.fixtures import fixture_path
 from cplkit.msc import validate_msc
 from cplkit.simulator import (
-    Fragment,
     FuzzParams,
     Scenario,
     ScenarioError,
@@ -90,20 +89,18 @@ def test_malformed_continuation_exits_2(capsys, tmp_path, case, command):
 
 def test_continuation_rules_hold_for_scenarios_built_directly():
     m = load_trace(chart(["A", "B"], [ev(0, "A", "choice", vars_of(x=1))]))
-    sc = Scenario(
-        msc=m,
-        guard_texts={0: "Here.x == 1", 9: "true"},
-        branches={0: (Fragment([ev(9, "A", "act")]), Fragment([]))},
-    )
     with pytest.raises(ScenarioError, match="non-choice"):
-        run_scenario(sc, sc.guard_set(), seed=0)
-    sc = Scenario(
-        msc=m,
-        guard_texts={0: "Here.x == 1"},
-        branches={0: (Fragment([ev(9, "A", "send", to="A")]), Fragment([]))},
-    )
+        Scenario(
+            msc=m,
+            guard_texts={0: "Here.x == 1", 9: "true"},
+            branches={0: ([ev(9, "A", "act")], [])},
+        )
     with pytest.raises(ScenarioError, match="trace format"):
-        run_scenario(sc, sc.guard_set(), seed=0)
+        Scenario(
+            msc=m,
+            guard_texts={0: "Here.x == 1"},
+            branches={0: ([ev(9, "A", "send", to="A")], [])},
+        )
 
 
 def test_well_formed_continuations_load():

@@ -1,7 +1,9 @@
 """Replay, generation, and the differential harness."""
 
 import collections
+import dataclasses
 import json
+import time
 
 import pytest
 
@@ -27,7 +29,6 @@ from cplkit.lang import (
 from cplkit.msc import validate_msc
 from cplkit.rng import SplitMix64
 from cplkit.simulator import (
-    Fragment,
     FuzzParams,
     Scenario,
     ScenarioError,
@@ -177,30 +178,34 @@ def test_scenario_verdicts_match_denotation_on_fuzzed_scenarios():
 
 
 def test_guard_texts_are_parsed_once_per_scenario(monkeypatch):
-    sc = load_scenario(fixture_path("merge_review"))
-    g = sc.guard_set()
     calls = []
     parse = simulator.parse_guard
     monkeypatch.setattr(
         simulator, "parse_guard", lambda *a: calls.append(a) or parse(*a)
     )
+    sc = load_scenario(fixture_path("merge_review"))
+    assert calls == []  # parsed on first use, not at load
+    g = sc.guard_set()
     for seed in range(3):
         run_scenario(sc, g, seed)
-    assert calls == []
-    sc.guard_texts[5] = "Here.candidate == 1"
     sc.guard_formulas()
-    sc.guard_formulas()
-    assert len(calls) == 1
+    assert len(calls) == 1 and sc.guard_set() is g
+    edited = dataclasses.replace(sc, guard_texts={5: "Here.candidate == 1"})
+    edited.guard_formulas()
+    edited.guard_formulas()
+    assert len(calls) == 2
 
 
 def test_edited_guard_texts_are_not_replayed_stale():
     sc = load_scenario(fixture_path("merge_review"))
     g = sc.guard_set()
     assert all(r["verdict"] for r in run_scenario(sc, g, 0).records if "verdict" in r)
-    sc.guard_texts[5] = "!(" + sc.guard_texts[5] + ")"
-    with pytest.raises(ScenarioError, match="guard 0 is not guard 0"):
-        run_scenario(sc, g, 0)
-    log = run_scenario(sc, sc.guard_set(), 0)
+    with pytest.raises(TypeError):
+        sc.guard_texts[5] = "!(" + sc.guard_texts[5] + ")"
+    edited = dataclasses.replace(sc, guard_texts={5: "!(" + sc.guard_texts[5] + ")"})
+    with pytest.raises(ScenarioError, match="guard set"):
+        run_scenario(edited, g, 0)
+    log = run_scenario(edited, edited.guard_set(), 0)
     assert [r["verdict"] for r in log.records if "verdict" in r] == [False]
 
 
@@ -220,7 +225,7 @@ def test_branch_continuations():
     sc = Scenario(
         msc=m,
         guard_texts={1: "Here.x == 1"},
-        branches={1: (Fragment(then_events), Fragment(else_events))},
+        branches={1: (then_events, else_events)},
     )
     log = run_scenario(sc, sc.guard_set(), seed=0)
     assert log.order == [0, 1, 10, 11]
@@ -230,7 +235,7 @@ def test_branch_continuations():
     assert log.msc.kind[11].tag == "send" and 11 not in log.msc.msg
 
     # flip the guard so the else arm runs
-    sc.guard_texts[1] = "Here.x == 99"
+    sc = dataclasses.replace(sc, guard_texts={1: "Here.x == 99"})
     log = run_scenario(sc, sc.guard_set(), seed=0)
     assert log.order == [0, 1, 20]
 
@@ -242,7 +247,7 @@ def test_empty_continuation_arm():
     sc = Scenario(
         msc=m,
         guard_texts={0: "Here.x == 0"},
-        branches={0: (Fragment([ev(9, "A", "act")]), Fragment([]))},
+        branches={0: ([ev(9, "A", "act")], [])},
     )
     log = run_scenario(sc, sc.guard_set(), seed=0)  # guard false: empty arm
     assert log.order == [0]
@@ -253,23 +258,61 @@ def test_bad_continuations_are_rejected():
     m = load_trace(
         chart(["A", "B"], [ev(0, "A", "choice", vars_of(x=1))])
     )
-    off_owner = Fragment([ev(5, "B", "act")])
-    sc = Scenario(
-        msc=m,
-        guard_texts={0: "Here.x == 1"},
-        branches={0: (off_owner, Fragment([]))},
-    )
+    off_owner = [ev(5, "B", "act")]
     with pytest.raises(ScenarioError, match="owner lifeline"):
-        run_scenario(sc, sc.guard_set(), seed=0)
+        Scenario(msc=m, guard_texts={0: "Here.x == 1"}, branches={0: (off_owner, [])})
 
-    duplicate_id = Fragment([ev(0, "A", "act")])
-    sc = Scenario(
-        msc=m,
-        guard_texts={0: "Here.x == 1"},
-        branches={0: (duplicate_id, Fragment([]))},
-    )
+    duplicate_id = [ev(0, "A", "act")]
     with pytest.raises(ScenarioError, match="trace format"):
-        run_scenario(sc, sc.guard_set(), seed=0)
+        Scenario(msc=m, guard_texts={0: "Here.x == 1"}, branches={0: (duplicate_id, [])})
+
+
+def test_scenario_built_in_code_checks_its_chart():
+    unmatched = load_trace(chart(["A", "B"], [ev(0, "B", "recv")]))
+    with pytest.raises(ScenarioError, match="not well-formed"):
+        Scenario(msc=unmatched, guard_texts={})
+    cyclic = load_trace(
+        chart(
+            ["A", "B"],
+            [ev(0, "A", "recv"), ev(1, "A", "send", to="B"),
+             ev(2, "B", "recv"), ev(3, "B", "send", to="A")],
+            succ=[(0, 1), (2, 3)],
+            messages=[(1, 2), (3, 0)],
+        )
+    )
+    with pytest.raises(ScenarioError, match="not well-formed"):
+        Scenario(msc=cyclic, guard_texts={})
+
+
+def test_scenarios_are_read_only():
+    sc = load_scenario(fixture_path("merge_review"))
+    with pytest.raises(TypeError):
+        sc.guard_texts[5] = "true"
+    with pytest.raises(TypeError):
+        sc.branches[5] = ([], [])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.guard_texts = {}
+
+
+def test_run_scenario_needs_the_scenarios_own_guard_set():
+    sc = load_scenario(fixture_path("merge_review"))
+    twin = load_scenario(fixture_path("merge_review"))
+    assert twin.guard_set() == sc.guard_set()
+    with pytest.raises(ScenarioError, match="guard set"):
+        run_scenario(sc, twin.guard_set(), 0)
+
+
+def test_repeated_nested_past_guards_replay_quickly():
+    lifelines = [f"L{i}" for i in range(8)]
+    m = load_trace(chart(lifelines, [
+        ev(0, "L0", "choice", vars_of(x=1)), ev(1, "L1", "choice", vars_of(x=1)),
+    ]))
+    guard = "P(" * 8 + "Here.x == 1" + ")" * 8
+    started = time.perf_counter()
+    sc = Scenario(msc=m, guard_texts={0: guard, 1: guard})
+    log = run_scenario(sc, sc.guard_set(), seed=0)
+    assert time.perf_counter() - started < 1.0
+    assert [r["verdict"] for r in log.records] == [True, True]
 
 
 def test_scenario_files_are_validated():
