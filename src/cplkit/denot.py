@@ -12,10 +12,18 @@ latest visible one (the current event itself when already on ``A``).
 ``f1 S f2`` looks back along the current lifeline only.
 
 Evaluation runs the guard set's plan one column per subformula, children
-first, so a full chart costs O(|events| * |subformulas|) plus navigation.
+first, over columns built once per call: navigation columns (each
+lifeline's chain, the local predecessor and, per lifeline ``B``, the
+latest visible ``B``-event, as positions in ``m.events``) and one value
+column per distinct term, shared by every atom that reads it. A full
+chart costs O(|events| * (|subformulas| + |terms| + |lifelines|)), and
+no cell goes through a per-event lookup. ``eval_term`` and ``eval_atom``
+are the per-event reference the table is tested against.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .lang import (
     Atom,
@@ -83,17 +91,31 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
     """Truth of every guard-set subformula at every event.
 
     Runs the guard set's plan column by column, one list per subformula
-    indexed by position in ``m.events``. Returns one row per event,
-    aligned with ``gs.sub``.
+    indexed by position in ``m.events``. Navigation is columns too, each
+    built once per call: ``chains`` (each lifeline's positions in local
+    order), ``prev`` (the local predecessor's position) and, per
+    lifeline ``B``, ``visible[B]`` (the latest visible ``B``-event's
+    position), all ``None`` where there is no such event. Every distinct
+    term gets one value column, shared by the atoms that read it.
+    Returns one row per event, aligned with ``gs.sub``.
     """
     events = m.events
-    pos = {e: k for k, e in enumerate(events)}  # pos.get(None) is None
+    n = len(events)
+    pos = {e: k for k, e in enumerate(events)}
+    chains: list[list[int]] = []
     prev: list[int | None] = []
     visible: dict[str, list[int | None]] = {}
+    terms: dict[LocalVar | AtField, list[Value | None]] = {}
     cols: list[list[bool]] = []
     for op, a, b in gs.plan:
         if op == "atom":
-            col = [eval_atom(m, e, a) for e in events]
+            left, right = (
+                repeat(x.value, n)
+                if isinstance(x, Lit)
+                else _term_column(m, x, pos, terms, visible)
+                for x in (a.left, a.right)
+            )
+            col = list(map(compare_values, repeat(a.op, n), left, right))
         elif op == "and":
             col = [x and y for x, y in zip(cols[a], cols[b])]
         elif op == "or":
@@ -101,28 +123,68 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
         elif op == "not":
             col = [not x for x in cols[a]]
         elif op == "Y":
-            prev = prev or [pos.get(m.last_loc(e)) for e in events]
+            chains = chains or [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
+            if not prev:
+                prev = [None] * n
+                for chain in chains:
+                    for k, j in zip(chain, chain[1:]):
+                        prev[j] = k
             sub = cols[a]
             col = [k is not None and sub[k] for k in prev]
         elif op == "at":
-            if b not in visible:
-                visible[b] = [pos.get(m.last_visible(e, b)) for e in events]
             sub = cols[a]
-            col = [k is not None and sub[k] for k in visible[b]]
+            col = [k is not None and sub[k] for k in _visible_column(m, b, pos, visible)]
         elif op == "S":
+            chains = chains or [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
             first, second = cols[a], cols[b]
-            col = [False] * len(events)
-            for lifeline in m.lifelines:
+            col = [False] * n
+            for chain in chains:
                 cur = False
-                for e in m.events_of(lifeline):
-                    k = pos[e]
+                for k in chain:
                     cur = col[k] = second[k] or (first[k] and cur)
         else:  # "true"
-            col = [True] * len(events)
+            col = [True] * n
         cols.append(col)
     if not cols:
         return {e: () for e in events}
     return dict(zip(events, zip(*cols)))
+
+
+def _visible_column(
+    m: Msc, b: str, pos: dict[int, int], cache: dict[str, list[int | None]]
+) -> list[int | None]:
+    """Per position, the position of the latest ``b``-event visible there
+    (None when there is none), read off ``b``'s chain by timestamp."""
+    col = cache.get(b)
+    if col is None:
+        chain = [None, *(pos[e] for e in m.events_of(b))]
+        col = cache[b] = [chain[k] for k in m.timestamp_column(b)]
+    return col
+
+
+def _term_column(
+    m: Msc,
+    t: LocalVar | AtField,
+    pos: dict[int, int],
+    cache: dict[LocalVar | AtField, list[Value | None]],
+    visible: dict[str, list[int | None]],
+) -> list[Value | None]:
+    """Per position, the value of term ``t`` (None when undefined):
+    ``x`` from each valuation, ``At[B].x`` as ``x``'s column read at
+    ``visible[B]``."""
+    col = cache.get(t)
+    if col is None:
+        if isinstance(t, LocalVar):
+            val = m.val
+            col = [val[e].get(t.name) for e in m.events]
+        else:
+            local = _term_column(m, LocalVar(t.name), pos, cache, visible)
+            col = [
+                None if k is None else local[k]
+                for k in _visible_column(m, t.lifeline, pos, visible)
+            ]
+        cache[t] = col
+    return col
 
 
 def sat(m: Msc, e: int, f: Formula) -> bool:

@@ -172,6 +172,14 @@ class Msc:
         ts = self._vts[e]
         return {b: ts.get(b, 0) for b in self.lifelines}
 
+    def timestamp_column(self, b: str) -> list[int]:
+        """Component ``b`` of every event's vector timestamp, in ``events``
+        order: how many ``b``-events each event sees. Copies no timestamp."""
+        self._check_lifeline(b)
+        self._ensure_analysis()
+        vts = self._vts
+        return [vts[e].get(b, 0) for e in self.events]
+
     # ------------------------------------------------------------------ #
     # Growth
     # ------------------------------------------------------------------ #
@@ -189,7 +197,10 @@ class Msc:
         """
         self._check_lifeline(owner)
         self._ensure_analysis()
-        kind, pid, val, succ = dict(self.kind), dict(self.pid), dict(self.val), dict(self.succ)
+        # copy() rather than dict(): it is the fast path for a scenario's
+        # read-only views too.
+        kind, pid, val = self.kind.copy(), self.pid.copy(), self.val.copy()
+        succ = self.succ.copy()
         local_idx, vts = dict(self._local_idx), dict(self._vts)
         chain = list(self._by_lifeline[owner])
         ts = vts[chain[-1]] if chain else {}
@@ -213,7 +224,7 @@ class Msc:
             pid=pid,
             val=val,
             succ=succ,
-            msg=dict(self.msg),
+            msg=self.msg.copy(),
             _by_lifeline={**self._by_lifeline, owner: tuple(chain)},
             _local_idx=local_idx,
             _vts=vts,

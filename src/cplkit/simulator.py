@@ -89,7 +89,9 @@ class Scenario:
     when the guard takes that arm. Arms may send but not receive. Building
     a scenario checks the chart and every arm (:class:`ScenarioError`); it
     is read-only, so a changed scenario is a new one (``dataclasses.replace``).
-    Guards are parsed and closed once, on first use.
+    It holds its own copy of the chart whose tables and valuations are
+    read-only views, so an edit fails where it is made instead of being
+    replayed unchecked. Guards are parsed and closed once, on first use.
     """
 
     msc: Msc
@@ -98,9 +100,19 @@ class Scenario:
     _arms: dict = field(init=False, repr=False, compare=False)  # decoded branches
 
     def __post_init__(self) -> None:
-        report = validate_msc(self.msc)
+        m = self.msc
+        report = validate_msc(m)
         if not report.ok:
             raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
+        object.__setattr__(self, "msc", Msc(
+            lifelines=m.lifelines,
+            events=m.events,
+            kind=MappingProxyType(dict(m.kind)),
+            pid=MappingProxyType(dict(m.pid)),
+            val=MappingProxyType({e: MappingProxyType(dict(v)) for e, v in m.val.items()}),
+            succ=MappingProxyType(dict(m.succ)),
+            msg=MappingProxyType(dict(m.msg)),
+        ))
         arms = {c: (tuple(a), tuple(b)) for c, (a, b) in self.branches.items()}
         object.__setattr__(self, "guard_texts", MappingProxyType(dict(self.guard_texts)))
         object.__setattr__(self, "branches", MappingProxyType(arms))
@@ -199,7 +211,7 @@ def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decode
     choice events of the chart or of a continuation. Returns the decoded
     ``(then, else)`` events per branching choice."""
     lifelines = set(sc.msc.lifelines)
-    pid, kind = dict(sc.msc.pid), dict(sc.msc.kind)
+    pid, kind = sc.msc.pid.copy(), sc.msc.kind.copy()
     decoded: dict[int, tuple[list[Decoded], list[Decoded]]] = {}
     for c, arms in sc.branches.items():
         decoded[c] = ([], [])
@@ -274,7 +286,7 @@ class RunLog:
 def _descriptor(m: Msc, e: int, payloads) -> EventDescriptor:
     kind = m.kind[e]
     incoming = payloads[m.matching_send(e)] if kind.tag == "recv" else None
-    return EventDescriptor(kind=kind, store_after=dict(m.val[e]), incoming=incoming)
+    return EventDescriptor(kind=kind, store_after=m.val[e].copy(), incoming=incoming)
 
 
 def _snapshot(s: MonitorState) -> dict:

@@ -111,6 +111,54 @@ def test_check_names_the_event_and_variable_of_a_bad_value(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+#: Guards added to each chart's own in ``PINNED_CHECK``: atoms that share
+#: terms, compare across tags (``!=`` too) or order non-integers, and
+#: ``At[B].x`` terms read where no ``B``-event is visible.
+_FIXTURE_GUARDS = [
+    'At[Orchestrator].candidate == "rev-17"',
+    "At[Orchestrator].candidate != At[Committer].candidate",
+    "Here.status == true || At[TestRunner].status != 1",
+    'Here.candidate < "rev-18" || At[TestRunner].candidate >= 0',
+    'Y(Here.status == "passed") || at(Committer, At[TestRunner].status == "failed")',
+    'At[TestRunner].candidate == Here.candidate && Here.candidate != "rev-16"',
+]
+_GENERATED_GUARDS = [
+    "At[L1].x0 == Here.x0 || At[L2].x1 != true",
+    "At[L3].x2 < 1 || Here.x0 == 1 || Here.x0 == true",
+    "at(L2, Y(At[L3].x1 >= 0 && At[L1].x1 != At[L3].x1))",
+    '!(At[L2].x0 == At[L3].x0) S Here.x1 != "a"',
+]
+
+#: sha256 of the stdout of ``cplkit check <chart> --guard ...`` with the
+#: chart's own guards followed by the extra ones above: each fixture, and
+#: ``gen_scenario(4, depth=3)``. Every (event, guard) value must stay the
+#: same however ``sat_table`` computes it.
+PINNED_CHECK = [
+    ("merge_review", "98b21a3930bd207b9af5622585d285628bb419be492fcebd102d0e293a747557"),
+    ("merge_review_failure_first",
+     "7ce4c1d5a2f3f88c4f50c5dec561642dd40d97e000be8163b4a38a94f79978df"),
+    ("merge_review_stale_candidate",
+     "a0149537d6de460d93cd3a25a4d7c5b70a6860fa8201c003409953a792649c82"),
+    ("generated", "de6dc8887852c24316b1143a63d569c4c4e8fc845c84926a5217e658207f5452"),
+]
+
+
+@pytest.mark.parametrize("name, digest", PINNED_CHECK)
+def test_check_output_is_pinned(capsys, tmp_path, name, digest):
+    if name == "generated":
+        data, extra = gen_scenario(4, depth=3), _GENERATED_GUARDS
+        path = tmp_path / "generated.json"
+        path.write_text(json.dumps(data))
+    else:
+        path, extra = fixture_path(name), _FIXTURE_GUARDS
+        data = json.loads(path.read_text())
+    texts = [g["guard"] for g in data["guards"]] + extra
+    code, out, _ = run(
+        capsys, "check", str(path), *(arg for t in texts for arg in ("--guard", t))
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 # ---------------------------------------------------------------------- #
 # simulate
 # ---------------------------------------------------------------------- #

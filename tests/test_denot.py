@@ -1,5 +1,7 @@
 """Denotational semantics against the memo-free reference evaluator."""
 
+import gc
+
 import pytest
 
 from cplkit.denot import eval_atom, eval_term, sat, sat_table
@@ -10,6 +12,7 @@ from cplkit.lang import (
     AtField,
     Lit,
     LocalVar,
+    Not,
     PastAt,
     Seen,
     Since,
@@ -19,9 +22,15 @@ from cplkit.lang import (
     expand_derived,
     parse_guard,
 )
-from cplkit.msc import MscError
+from cplkit.msc import EventKind, Msc, MscError
 from cplkit.rng import SplitMix64
-from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario, random_formula
+from cplkit.simulator import (
+    FuzzParams,
+    gen_random_formulas,
+    gen_random_msc,
+    load_scenario,
+    random_formula,
+)
 
 from oracles import brute_last_visible, naive_sat, reachability
 
@@ -220,3 +229,144 @@ def test_past_any_is_the_disjunction_of_past_at():
                 for b in m.lifelines
             )
             assert sat(m, e, whole) == parts
+
+
+# ---------------------------------------------------------------------- #
+# sat_table against the per-cell reference
+# ---------------------------------------------------------------------- #
+
+ACCEPTANCE = dict(
+    lifelines=5, events_per_lifeline=8, message_prob=0.35, var_alphabet=3,
+    formula_count=10, formula_depth=4,
+)
+
+
+def atom_positions(gs):
+    return [(p, a) for p, (op, a, _) in enumerate(gs.plan) if op == "atom"]
+
+
+def assert_table_matches_reference(m, gs, naive=True):
+    """Every atom cell equals ``eval_atom``; with ``naive``, every row
+    equals the memo-free oracle on every subformula."""
+    rows = sat_table(m, gs)
+    assert list(rows) == list(m.events)
+    closure = reachability(m) if naive else None
+    for e in m.events:
+        assert len(rows[e]) == len(gs.sub)
+        for p, a in atom_positions(gs):
+            assert rows[e][p] == eval_atom(m, e, a), (e, a)
+        if naive:
+            expected = tuple(naive_sat(m, closure, e, f) for f in gs.sub)
+            assert rows[e] == expected, e
+
+
+def test_sat_table_matches_reference_on_fixtures():
+    for name in ("merge_review", "merge_review_failure_first", "merge_review_stale_candidate"):
+        sc = load_scenario(fixture_path(name))
+        lifelines = sc.msc.lifelines
+        gs = close_guards(sc.guard_formulas()[0] + tuple(
+            expand_derived(parse_guard(text, set(lifelines)), lifelines)
+            for text in (
+                'At[Orchestrator].candidate == "rev-17"',
+                "At[Committer].status != At[TestRunner].status",
+                "Here.status == true || At[TestRunner].candidate >= 0",
+                'at(Committer, Y(At[TestRunner].status == "failed")) S true',
+            )
+        ))
+        assert_table_matches_reference(sc.msc, gs)
+
+
+def test_sat_table_matches_reference_at_acceptance_sizes():
+    shared = 0
+    for seed in range(300):
+        p = FuzzParams(seed=seed, **ACCEPTANCE)
+        m = gen_random_msc(p)
+        gs = gen_random_formulas(p, m.lifelines)
+        reads = [x for _, a in atom_positions(gs) for x in (a.left, a.right)
+                 if not isinstance(x, Lit)]
+        shared += len(reads) > len(set(reads))
+        assert_table_matches_reference(m, gs, naive=seed % 5 == 0)
+    assert shared > 200  # most guard sets have atoms reading the same term
+
+
+def test_sat_table_matches_reference_on_grown_charts():
+    rng = SplitMix64(77)
+    p = FuzzParams(**ACCEPTANCE)
+    for m in small_charts(60, seed0=500):
+        for _ in range(3):
+            owner = rng.choice(m.lifelines)
+            other = rng.choice([b for b in m.lifelines if b != owner])
+            kinds = [EventKind("act"), EventKind("send", other), EventKind("choice")]
+            first = max(m.events, default=-1) + 1
+            m = m.append_local(owner, [
+                (first + i, kinds[i], {"x0": rng.choice(p.value_alphabet)})
+                for i in range(rng.randint(1, 3))
+            ])
+        f = expand_derived(random_formula(rng, 3, m.lifelines, p), m.lifelines)
+        assert_table_matches_reference(m, close_guards([f]))
+
+
+def test_sat_table_on_an_empty_chart():
+    m = Msc(("A", "B"), (), {}, {}, {}, {}, {})
+    f = expand_derived(parse_guard("Y(at(B, At[A].x == 1)) S seen(B)", {"A", "B"}), ("A", "B"))
+    assert sat_table(m, close_guards([f])) == {}
+
+
+def test_sat_table_with_only_literal_atoms(merge):
+    atoms = [
+        Atom("==", Lit(1), Lit(1)),
+        Atom("!=", Lit(1), Lit(2)),
+        Atom("==", Lit(True), Lit(1)),
+        Atom("<", Lit("a"), Lit("b")),
+        Atom(">=", Lit(3), Lit(3)),
+    ]
+    gs = close_guards(atoms)
+    assert_table_matches_reference(merge, gs)
+    rows = sat_table(merge, gs)
+    assert {rows[e] for e in merge.events} == {(True, True, False, False, True)}
+
+
+def test_sat_table_reads_never_visible_lifelines_as_undefined(merge):
+    # TestRunner only sends: no Orchestrator or Committer event is visible there
+    a = Atom("!=", AtField("Orchestrator", "candidate"), LocalVar("candidate"))
+    b = Atom("==", AtField("Committer", "candidate"), AtField("Committer", "candidate"))
+    gs = close_guards([a, b, Not(a)])
+    rows = sat_table(merge, gs)
+    for e in merge.events_of("TestRunner"):
+        assert rows[e] == (False, False, True)
+    assert_table_matches_reference(merge, gs)
+
+
+def test_sat_table_keeps_true_and_1_apart():
+    m = Msc(
+        ("A",), (0, 1),
+        {0: EventKind("act"), 1: EventKind("act")}, {0: "A", 1: "A"},
+        {0: {"x": True, "y": 1}, 1: {"x": 1, "y": 1}}, {0: 1}, {},
+    )
+    atoms = [
+        Atom("==", LocalVar("x"), Lit(1)),
+        Atom("==", LocalVar("x"), Lit(True)),
+        Atom("==", LocalVar("x"), LocalVar("y")),
+        Atom("!=", LocalVar("x"), LocalVar("y")),
+        Atom("<=", LocalVar("x"), LocalVar("y")),
+    ]
+    gs = close_guards(atoms)
+    assert sat_table(m, gs) == {
+        0: (False, True, False, False, False),
+        1: (True, False, True, False, True),
+    }
+    assert_table_matches_reference(m, gs)
+
+
+def test_sat_table_leaves_no_cyclic_garbage():
+    p = FuzzParams(seed=3, **{**ACCEPTANCE, "lifelines": 8, "formula_count": 40})
+    m = gen_random_msc(p)
+    gs = gen_random_formulas(p, m.lifelines)
+    sat_table(m, gs)  # the chart's analysis is built once, outside the check
+    gc.collect()
+    gc.disable()
+    try:
+        sat_table(m, gs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -216,6 +216,18 @@ def test_last_visible_matches_filter_max_oracle():
                 assert m.last_visible(e, b) == brute_last_visible(m, closure, e, b)
 
 
+def test_timestamp_column_is_one_component_of_every_timestamp(merge):
+    for m in [merge, *random_charts(40)]:
+        for b in m.lifelines:
+            column = m.timestamp_column(b)
+            assert column == [m.vector_timestamp(e)[b] for e in m.events]
+            assert [m.events_of(b)[k - 1] if k else None for k in column] == [
+                m.last_visible(e, b) for e in m.events
+            ]
+    with pytest.raises(MscError, match="no such lifeline"):
+        merge.timestamp_column("Nobody")
+
+
 def test_local_index_base_and_successor_step():
     for m in random_charts(60):
         closure = reachability(m)

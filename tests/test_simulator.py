@@ -294,6 +294,30 @@ def test_scenarios_are_read_only():
         sc.guard_texts = {}
 
 
+def test_scenario_charts_are_read_only():
+    sc = load_scenario(fixture_path("merge_review"))
+    m = sc.msc
+    for table in (m.kind, m.pid, m.val, m.succ, m.msg):
+        with pytest.raises(AttributeError):
+            table.clear()
+        with pytest.raises(TypeError):
+            table[99] = table[next(iter(table))]
+    with pytest.raises(TypeError):
+        m.val[0]["candidate"] = "rev-18"
+    fresh = load_scenario(fixture_path("merge_review"))
+    log = run_scenario(sc, sc.guard_set(), 0).to_dict()
+    assert log == run_scenario(fresh, fresh.guard_set(), 0).to_dict()
+
+
+def test_scenario_holds_its_own_copy_of_the_chart():
+    m = load_trace(chart(["A"], [ev(0, "A", "choice", vars_of(x=1))]))
+    sc = Scenario(msc=m, guard_texts={0: "Here.x == 1"})
+    m.val[0]["x"] = 2
+    m.kind.clear()
+    assert sc.msc.val[0] == {"x": 1} and list(sc.msc.kind) == [0]
+    assert [r["verdict"] for r in run_scenario(sc, sc.guard_set(), 0).records] == [True]
+
+
 def test_run_scenario_needs_the_scenarios_own_guard_set():
     sc = load_scenario(fixture_path("merge_review"))
     twin = load_scenario(fixture_path("merge_review"))
