@@ -18,23 +18,23 @@ from .lang import (
     pretty,
 )
 from .monitor import (
-    CoherenceReport,
     EventDescriptor,
     MessagePayload,
     MonitorError,
     MonitorState,
-    check_coherence,
     init_monitor,
     on_event,
 )
 from .msc import EventKind, Msc, MscError, MscReport, validate_msc
 from .simulator import (
+    CoherenceReport,
     DifferentialReport,
     FuzzParams,
     Oracle,
     RunLog,
     Scenario,
     ScenarioError,
+    check_coherence,
     differential_check,
     fuzz_sweep,
     gen_random_formulas,

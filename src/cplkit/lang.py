@@ -473,7 +473,17 @@ def _operand_text(x: Operand) -> str:
 
 
 def pretty(f: Formula) -> str:
-    """Canonical text for a formula; re-parsing yields an equal tree."""
+    """Canonical text for a formula, with only the parentheses the
+    precedence needs; re-parsing it yields an equal tree as long as the
+    text is within :data:`MAX_NESTING`.
+
+    :func:`parse_guard` counts grouping parentheses as levels, so a tree
+    of height *h* (an atom has height 0) can print with up to 2 *h*
+    levels, e.g. a ``Since`` nested in the left operand of each ``S``.
+    The round trip is therefore guaranteed only up to height
+    ``MAX_NESTING // 2``; a taller tree may print as a guard the parser
+    rejects as nested too deep.
+    """
     return _pp(f, 1)
 
 

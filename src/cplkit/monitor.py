@@ -35,11 +35,12 @@ crosses monitors is an immutable payload snapshot.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .denot import compare_values, sat_table
+from .denot import compare_values
 from .lang import AtField, GuardSet, Lit, LocalVar
-from .msc import EventKind, Msc, Valuation, Value, values_equal
+from .msc import EventKind, Valuation, Value
 from .trace import TraceFormatError, decode_valuation, encode_valuation
 
 Row = tuple[bool, ...]
@@ -133,12 +134,13 @@ class EventDescriptor:
     """What the monitor is told about one event of its own lifeline.
 
     ``store_after`` is the local store after the event (sends and choice
-    events conventionally leave the store unchanged); ``incoming``
-    carries the matched message's payload on receives.
+    events conventionally leave the store unchanged), which
+    :func:`begin_event` copies, so it may be the chart's own valuation;
+    ``incoming`` carries the matched message's payload on receives.
     """
 
     kind: EventKind
-    store_after: Valuation
+    store_after: Mapping[str, Value]
     incoming: MessagePayload | None = None
 
 
@@ -297,149 +299,3 @@ def _operand(s: MonitorState, x: Lit | LocalVar | AtField) -> Value | None:
     if row is None:
         return None
     return row.get(x.name)
-
-
-# ---------------------------------------------------------------------- #
-# Coherence diagnostics
-# ---------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Outcome of the four coherence conditions, with failure details."""
-
-    conditions: dict[str, tuple[bool, str]]  # "i".."iv" -> (ok, detail)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for ok, _ in self.conditions.values())
-
-    def failures(self) -> list[str]:
-        return [
-            f"({name}) {detail}"
-            for name, (ok, detail) in self.conditions.items()
-            if not ok
-        ]
-
-
-def check_coherence(
-    s: MonitorState,
-    m: Msc,
-    e: int | None,
-    denot_rows: dict[int, tuple[bool, ...]] | None = None,
-    counts: dict[str, int] | None = None,
-    phase: str = "pre",
-    var_rows: dict[int, frozenset] | None = None,
-) -> CoherenceReport:
-    """Does this state correctly describe the causal past of ``e``?
-
-    In phase ``"pre"`` the state is expected mid-update, after
-    :func:`begin_event` for ``e`` and before :func:`finish_event` (the
-    clock already counts ``e``). Checks, per condition:
-
-      (i)   each clock component equals the number of that lifeline's
-            events causally below ``e``;
-      (ii)  for every other lifeline whose clock is right, view/value rows
-            exist exactly when the clock is positive and then describe its
-            latest visible event;
-      (iii) the store induces the event's valuation on monitored
-            variables, and the local value row mirrors it;
-      (iv)  the previous-event snapshot holds the subformula values at the
-            previous local event (all false when there is none).
-
-    In phase ``"post"``, after :func:`finish_event`, only (i) and (ii)
-    are checked, (ii) over every lifeline: the own rows must describe
-    ``e`` itself.
-
-    ``e=None`` checks the empty-prefix base case of a fresh monitor.
-    ``denot_rows``, ``counts`` and ``var_rows`` (see
-    :func:`expected_var_rows`) let callers reuse precomputed oracle data.
-    """
-    if phase not in ("pre", "post"):
-        raise MonitorError(f"unknown coherence phase {phase!r}")
-    gs = s.guards
-    if e is None:
-        zero = all(n == 0 for n in s.vc.values())
-        empty = not s.view and not s.var
-        blank = not any(s.old)
-        return CoherenceReport(
-            {
-                "i": (zero, "" if zero else "clock nonzero before any event"),
-                "ii": (empty, "" if empty else "view/value rows before any event"),
-                "iii": (not s.store, "" if not s.store else "store set before any event"),
-                "iv": (blank, "" if blank else "previous-event snapshot not all-false"),
-            }
-        )
-
-    if m.pid[e] != s.me:
-        raise MonitorError(f"event {e} is not on lifeline {s.me!r}")
-    if counts is None:
-        counts = {
-            b: sum(1 for f in m.events_of(b) if m.causal_leq(f, e))
-            for b in m.lifelines
-        }
-    if denot_rows is None:
-        denot_rows = sat_table(m, gs)
-    if var_rows is None:
-        var_rows = expected_var_rows(m, gs.cross_vars)
-
-    i_bad = [] if s.vc == counts else [
-        f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
-        for b in m.lifelines
-        if s.vc.get(b, 0) != counts[b]
-    ]
-
-    ii_bad: list[str] = []
-    for b in m.lifelines:
-        k = s.vc.get(b, 0)
-        if (b == s.me and phase == "pre") or k != counts[b]:
-            continue  # a wrong clock is reported under (i)
-        has_view, has_var = b in s.view, b in s.var
-        if k == 0:
-            if has_view or has_var:
-                ii_bad.append(f"{b}: rows present at clock 0")
-            continue
-        if not has_view or not has_var:
-            ii_bad.append(f"{b}: rows absent at clock {k}")
-            continue
-        target = m.events_of(b)[k - 1]
-        if s.view[b] != denot_rows[target]:
-            ii_bad.append(f"{b}: view row differs from event {target}")
-        if tagged_row(s.var[b]) != var_rows[target]:
-            ii_bad.append(f"{b}: value row differs from event {target}")
-    conditions = {
-        "i": (not i_bad, "; ".join(i_bad)),
-        "ii": (not ii_bad, "; ".join(ii_bad)),
-    }
-    if phase == "post":
-        return CoherenceReport(conditions)
-
-    iii_bad: list[str] = []
-    nu = m.val[e]
-    for x in sorted(gs.local_vars | gs.cross_vars):
-        if not values_equal(s.store.get(x), nu.get(x)):
-            iii_bad.append(f"store[{x}] != valuation at {e}")
-    if tagged_row(s.var.get(s.me, {})) != var_rows[e]:
-        iii_bad.append("local value row does not mirror the valuation")
-
-    prev = m.last_loc(e)
-    expected_old = denot_rows[prev] if prev is not None else (False,) * len(gs.sub)
-    iv_bad = [] if s.old == expected_old else ["previous-event snapshot is wrong"]
-
-    conditions["iii"] = (not iii_bad, "; ".join(iii_bad))
-    conditions["iv"] = (not iv_bad, "; ".join(iv_bad))
-    return CoherenceReport(conditions)
-
-
-def tagged_row(row: dict[str, Value]) -> frozenset:
-    """A value row in a form whose equality is tag-exact, so that ``True``
-    and ``1`` differ."""
-    return frozenset((x, type(v), v) for x, v in row.items())
-
-
-def expected_var_rows(m: Msc, cross_vars: frozenset[str]) -> dict[int, frozenset]:
-    """Per event, the value row that describes it: its valuation
-    restricted to ``cross_vars``, as a :func:`tagged_row`."""
-    return {
-        e: tagged_row({x: v for x, v in m.val[e].items() if x in cross_vars})
-        for e in m.events
-    }

@@ -8,9 +8,10 @@ chosen by those verdicts.
 
 The differential harness replays a chart the same way and, at every
 event, compares every subformula value the monitor computed against the
-denotational table, checks state coherence before each evaluation phase,
-and re-derives the clock/view invariants from a BFS reachability oracle
-that shares no code with the vector-timestamp machinery.
+denotational table and checks the state's coherence before and after
+the evaluation phase (:func:`check_coherence`). Every expectation comes
+from one :class:`Oracle` per chart and guard set, whose clock counts a
+BFS reachability pass derives without the vector-timestamp machinery.
 
 All randomness flows through :class:`~cplkit.rng.SplitMix64`, so every
 run replays exactly from its seed.
@@ -55,14 +56,21 @@ from .lang import (
 from .monitor import (
     EventDescriptor,
     MessagePayload,
+    MonitorError,
     MonitorState,
     begin_event,
-    check_coherence,
-    expected_var_rows,
     finish_event,
     init_monitor,
 )
-from .msc import EventKind, Msc, Valuation, Value, topological_order, validate_msc
+from .msc import (
+    EventKind,
+    Msc,
+    Valuation,
+    Value,
+    topological_order,
+    validate_msc,
+    values_equal,
+)
 from .rng import SplitMix64
 from .trace import TraceFormatError, decode_event, encode_valuation, parse_trace, read_json
 
@@ -286,7 +294,7 @@ class RunLog:
 def _descriptor(m: Msc, e: int, payloads) -> EventDescriptor:
     kind = m.kind[e]
     incoming = payloads[m.matching_send(e)] if kind.tag == "recv" else None
-    return EventDescriptor(kind=kind, store_after=m.val[e].copy(), incoming=incoming)
+    return EventDescriptor(kind=kind, store_after=m.val[e], incoming=incoming)
 
 
 def _snapshot(s: MonitorState) -> dict:
@@ -575,8 +583,8 @@ class Oracle(NamedTuple):
     """The denotational side of differential checks on one chart and
     guard set, which no schedule changes: the ``sat_table`` rows, per
     event the clock it must have (each lifeline's count in its BFS causal
-    past) and the value row describing it (see
-    :func:`~cplkit.monitor.expected_var_rows`)."""
+    past) and the value row describing it (its valuation restricted to
+    the guards' ``At[B].x`` variables, as a :func:`tagged_row`)."""
 
     msc: Msc
     guards: GuardSet
@@ -593,7 +601,124 @@ def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
         counts[e] = dict.fromkeys(m.lifelines, 0)
         for f in past[e]:
             counts[e][m.pid[f]] += 1
-    return Oracle(m, g, sat_table(m, g), counts, expected_var_rows(m, g.cross_vars))
+    cross = g.cross_vars
+    var_rows = {
+        e: tagged_row({x: v for x, v in m.val[e].items() if x in cross})
+        for e in m.events
+    }
+    return Oracle(m, g, sat_table(m, g), counts, var_rows)
+
+
+def tagged_row(row: Mapping[str, Value]) -> frozenset:
+    """A value row in a form whose equality is tag-exact, so that ``True``
+    and ``1`` differ."""
+    return frozenset((x, type(v), v) for x, v in row.items())
+
+
+@dataclass(frozen=True)
+class CoherenceReport:
+    """Outcome of the four coherence conditions, with failure details."""
+
+    conditions: dict[str, tuple[bool, str]]  # "i".."iv" -> (ok, detail)
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for ok, _ in self.conditions.values())
+
+    def failures(self) -> list[str]:
+        return [
+            f"({name}) {detail}"
+            for name, (ok, detail) in self.conditions.items()
+            if not ok
+        ]
+
+
+def check_coherence(
+    s: MonitorState, oracle: Oracle, e: int, phase: str = "pre"
+) -> CoherenceReport:
+    """Does this state correctly describe the causal past of ``e``?
+
+    Every expectation is read from ``oracle`` (:func:`prepare_oracle` of
+    the chart and of ``s``'s own guard set): the chart, the ``sat_table``
+    rows, the BFS clock counts and the tag-exact value rows. Nothing is
+    recomputed here; the chart is asked only for its local chains
+    (``events_of``, ``last_loc``), never a causal query.
+
+    In phase ``"pre"`` the state is expected mid-update, after
+    :func:`~cplkit.monitor.begin_event` for ``e`` and before
+    :func:`~cplkit.monitor.finish_event` (the clock already counts
+    ``e``). Checks, per condition:
+
+      (i)   each clock component equals the number of that lifeline's
+            events causally below ``e``;
+      (ii)  for every other lifeline whose clock is right, view/value rows
+            exist exactly when the clock is positive and then describe its
+            latest visible event;
+      (iii) the store induces the event's valuation on monitored
+            variables, and the local value row mirrors it;
+      (iv)  the previous-event snapshot holds the subformula values at the
+            previous local event (all false when there is none).
+
+    In phase ``"post"``, after ``finish_event``, only (i) and (ii) are
+    checked, (ii) over every lifeline: the own rows must describe ``e``
+    itself.
+    """
+    if phase not in ("pre", "post"):
+        raise MonitorError(f"unknown coherence phase {phase!r}")
+    gs = s.guards
+    if oracle.guards is not gs:
+        raise ScenarioError("oracle was prepared for another guard set")
+    m, rows, var_rows = oracle.msc, oracle.rows, oracle.var_rows
+    if m.pid[e] != s.me:
+        raise MonitorError(f"event {e} is not on lifeline {s.me!r}")
+    counts = oracle.counts[e]
+
+    i_bad = [] if s.vc == counts else [
+        f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
+        for b in m.lifelines
+        if s.vc.get(b, 0) != counts[b]
+    ]
+
+    ii_bad: list[str] = []
+    for b in m.lifelines:
+        k = s.vc.get(b, 0)
+        if (b == s.me and phase == "pre") or k != counts[b]:
+            continue  # a wrong clock is reported under (i)
+        has_view, has_var = b in s.view, b in s.var
+        if k == 0:
+            if has_view or has_var:
+                ii_bad.append(f"{b}: rows present at clock 0")
+            continue
+        if not has_view or not has_var:
+            ii_bad.append(f"{b}: rows absent at clock {k}")
+            continue
+        target = m.events_of(b)[k - 1]
+        if s.view[b] != rows[target]:
+            ii_bad.append(f"{b}: view row differs from event {target}")
+        if tagged_row(s.var[b]) != var_rows[target]:
+            ii_bad.append(f"{b}: value row differs from event {target}")
+    conditions = {
+        "i": (not i_bad, "; ".join(i_bad)),
+        "ii": (not ii_bad, "; ".join(ii_bad)),
+    }
+    if phase == "post":
+        return CoherenceReport(conditions)
+
+    iii_bad: list[str] = []
+    nu = m.val[e]
+    for x in sorted(gs.local_vars | gs.cross_vars):
+        if not values_equal(s.store.get(x), nu.get(x)):
+            iii_bad.append(f"store[{x}] != valuation at {e}")
+    if tagged_row(s.var.get(s.me, {})) != var_rows[e]:
+        iii_bad.append("local value row does not mirror the valuation")
+
+    prev = m.last_loc(e)
+    expected_old = rows[prev] if prev is not None else (False,) * len(gs.sub)
+    iv_bad = [] if s.old == expected_old else ["previous-event snapshot is wrong"]
+
+    conditions["iii"] = (not iii_bad, "; ".join(iii_bad))
+    conditions["iv"] = (not iv_bad, "; ".join(iv_bad))
+    return CoherenceReport(conditions)
 
 
 @dataclass
@@ -656,24 +781,23 @@ def differential_check(
     * every subformula value the monitor computed equals the denotational
       truth at that event (exact Boolean equality),
     * the monitor state was coherent before the evaluation phase
-      (:func:`~cplkit.monitor.check_coherence`, phase ``"pre"``),
+      (:func:`check_coherence`, phase ``"pre"``),
     * after the update, clocks match BFS causal-past counts, view/value
       rows exist exactly for causally seen lifelines, and describe the
       latest visible event of each (the same checker, phase ``"post"``).
 
-    ``oracle`` is :func:`prepare_oracle` of this very ``m`` and ``g``,
-    for callers that check several schedules; without it, one is built.
+    Every expected value comes from ``oracle``, :func:`prepare_oracle` of
+    this very ``m`` and ``g``, for callers that check several schedules;
+    without it, one is built. An empty chart checks trivially.
     """
     if oracle is not None and (oracle.msc is not m or oracle.guards is not g):
         raise ScenarioError("oracle was prepared for another chart or guard set")
     report = DifferentialReport(runs=1)
-    if not extension and not m.events:
-        return report
     if not m.is_linear_extension(extension):
         raise ScenarioError("supplied order is not a linear extension")
     if oracle is None:
         oracle = prepare_oracle(m, g)
-    rows, counts, var_rows = oracle.rows, oracle.counts, oracle.var_rows
+    rows = oracle.rows
 
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
@@ -685,7 +809,7 @@ def differential_check(
         desc = _descriptor(m, e, payloads)
         begin_event(state, desc, mutation)
 
-        coherence = check_coherence(state, m, e, rows, counts[e], var_rows=var_rows)
+        coherence = check_coherence(state, oracle, e)
         if not coherence.ok:
             report.coherence_failures.append(
                 {"event": e, "failures": coherence.failures()}
@@ -715,9 +839,7 @@ def differential_check(
             if fail_fast:
                 return report
 
-        post = check_coherence(
-            state, m, e, rows, counts[e], phase="post", var_rows=var_rows
-        )
+        post = check_coherence(state, oracle, e, phase="post")
         if not post.ok:
             report.invariant_failures.append({"event": e, "failures": post.failures()})
             if fail_fast:

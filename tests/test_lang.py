@@ -228,6 +228,21 @@ def test_round_trip_1000_random_formulas():
         assert parse_guard(pretty(f), LSET) == f, pretty(f)
 
 
+def test_round_trip_at_half_the_nesting_bound():
+    """Grouping parentheses count as levels, so a tree of height h prints
+    with up to 2h of them: the round trip holds up to MAX_NESTING // 2."""
+    p = FuzzParams()
+    for seed in range(200):
+        f = random_formula(SplitMix64(seed), MAX_NESTING // 2, LIFELINES, p)
+        assert parse_guard(pretty(f), LSET) == f, seed
+    f = Atom("==", LocalVar("x"), Lit(1))
+    for _ in range(MAX_NESTING // 2):
+        f = Since(f, Atom("==", LocalVar("x"), Lit(1)))  # S nested leftwards
+    assert parse_guard(pretty(f), LSET) == f
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_guard(pretty(Since(f, f.second)), LSET)
+
+
 def test_corpus_round_trips_up_to_whitespace():
     for text in CORPUS:
         f = parse_guard(text, LSET)

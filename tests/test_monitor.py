@@ -1,10 +1,12 @@
-"""Online monitor: event updates, local evaluation, coherence."""
+"""Online monitor: event updates, local evaluation, and the coherence
+checker run against it."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+from cplkit import monitor
 from cplkit.fixtures import fixture_path
 from cplkit.lang import close_guards, expand_derived, parse_guard
 from cplkit.monitor import (
@@ -12,7 +14,6 @@ from cplkit.monitor import (
     MessagePayload,
     MonitorError,
     begin_event,
-    check_coherence,
     decode_row,
     encode_row,
     finish_event,
@@ -22,10 +23,13 @@ from cplkit.monitor import (
 from cplkit.msc import EventKind
 from cplkit.simulator import (
     FuzzParams,
+    ScenarioError,
+    check_coherence,
     differential_check,
     gen_random_formulas,
     gen_random_msc,
     load_scenario,
+    prepare_oracle,
     sample_linear_extension,
 )
 from cplkit.trace import load_trace
@@ -59,12 +63,6 @@ def test_initial_tables_are_empty():
     s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
     assert s.view == {} and s.var == {} and s.store == {}
     assert s.old == (False,) * len(s.guards.sub)
-
-
-def test_initial_state_is_coherent_for_the_empty_prefix():
-    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
-    m = load_trace(chart(LIFELINES, []))
-    assert check_coherence(s, m, None).ok
 
 
 def test_unknown_lifeline_rejected():
@@ -198,41 +196,88 @@ def test_at_self_equals_direct_evaluation():
 # check_coherence
 # ---------------------------------------------------------------------- #
 
+def one_act_chart(lifeline="A"):
+    return load_trace(chart(LIFELINES, [ev(0, lifeline, "act", vars_of(x=1))]))
+
+
 def test_first_event_coherence():
-    m = load_trace(chart(LIFELINES, [ev(0, "A", "act", vars_of(x=1))]))
+    m = one_act_chart()
     gs = guards_of("Here.x == 1")
     s = init_monitor("A", gs, LIFELINES)
     d = act({"x": 1})
     begin_event(s, d)
-    assert check_coherence(s, m, 0).ok
+    assert check_coherence(s, prepare_oracle(m, gs), 0).ok
     finish_event(s, d)
 
 
+def test_wrong_clock_fails_condition_i():
+    m = one_act_chart()
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
+    begin_event(s, act({"x": 1}))
+    s.vc["A"] = 2
+    rep = check_coherence(s, prepare_oracle(m, gs), 0)
+    assert not rep.conditions["i"][0]
+    assert "A: clock 2 != causal past 1" in rep.conditions["i"][1]
+
+
 def test_presence_rule_breach_fails_condition_ii():
-    m = load_trace(chart(LIFELINES, [ev(0, "A", "act", vars_of(x=1))]))
+    m = one_act_chart()
     gs = guards_of("Here.x == 1")
     s = init_monitor("A", gs, LIFELINES)
     d = act({"x": 1})
     begin_event(s, d)
     s.view["B"] = (True,)  # entry despite vc[B] == 0
-    rep = check_coherence(s, m, 0)
+    rep = check_coherence(s, prepare_oracle(m, gs), 0)
     assert not rep.conditions["ii"][0]
     assert rep.conditions["i"][0]
 
 
 def test_wrong_store_fails_condition_iii():
-    m = load_trace(chart(LIFELINES, [ev(0, "A", "act", vars_of(x=1))]))
-    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    m = one_act_chart()
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
     begin_event(s, act({"x": 99}))
-    rep = check_coherence(s, m, 0)
+    rep = check_coherence(s, prepare_oracle(m, gs), 0)
     assert not rep.conditions["iii"][0]
 
 
+def test_wrong_snapshot_fails_condition_iv():
+    m = one_act_chart()
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
+    begin_event(s, act({"x": 1}))
+    s.old = (True,) * len(gs.sub)  # there is no previous local event
+    rep = check_coherence(s, prepare_oracle(m, gs), 0)
+    assert not rep.conditions["iv"][0]
+    assert rep.conditions["i"][0] and rep.conditions["iii"][0]
+
+
 def test_coherence_requires_owning_lifeline():
-    m = load_trace(chart(LIFELINES, [ev(0, "B", "act")]))
-    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    m = one_act_chart("B")
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
     with pytest.raises(MonitorError, match="not on lifeline"):
-        check_coherence(s, m, 0)
+        check_coherence(s, prepare_oracle(m, gs), 0)
+
+
+def test_coherence_refuses_an_oracle_of_another_guard_set():
+    m = one_act_chart()
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
+    begin_event(s, act({"x": 1}))
+    # An equal guard set built again is still another object.
+    for other in (guards_of("Here.x == 1"), guards_of("Here.x == 2")):
+        with pytest.raises(ScenarioError, match="another guard set"):
+            check_coherence(s, prepare_oracle(m, other), 0)
+    assert check_coherence(s, prepare_oracle(m, gs), 0).ok
+
+
+def test_monitor_module_holds_no_checker():
+    """The deployed monitor is the algorithm alone: the denotational
+    table and the checker live in the harness."""
+    for name in ("sat_table", "check_coherence", "CoherenceReport", "Msc"):
+        assert not hasattr(monitor, name)
 
 
 # ---------------------------------------------------------------------- #
@@ -487,21 +532,24 @@ def test_emitted_payload_is_a_deep_snapshot():
 # ---------------------------------------------------------------------- #
 
 def test_post_phase_checks_clocks_and_rows_of_every_lifeline():
-    m = load_trace(chart(LIFELINES, [ev(0, "A", "act", vars_of(x=1))]))
-    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    m = one_act_chart()
+    gs = guards_of("Here.x == 1")
+    oracle = prepare_oracle(m, gs)
+    s = init_monitor("A", gs, LIFELINES)
     d = act({"x": 1})
     begin_event(s, d)
     finish_event(s, d)
-    rep = check_coherence(s, m, 0, phase="post")
+    rep = check_coherence(s, oracle, 0, phase="post")
     assert rep.ok and set(rep.conditions) == {"i", "ii"}
     s.view["A"] = tuple(not v for v in s.view["A"])  # the own row is checked too
-    rep = check_coherence(s, m, 0, phase="post")
+    rep = check_coherence(s, oracle, 0, phase="post")
     assert not rep.conditions["ii"][0] and rep.conditions["i"][0]
-    assert check_coherence(s, m, 0).conditions["ii"][0]  # pre skips the own row
+    assert check_coherence(s, oracle, 0).conditions["ii"][0]  # pre skips the own row
 
 
 def test_unknown_coherence_phase_is_rejected():
     m = load_trace(chart(LIFELINES, [ev(0, "A", "act")]))
-    s = init_monitor("A", guards_of("Here.x == 1"), LIFELINES)
+    gs = guards_of("Here.x == 1")
+    s = init_monitor("A", gs, LIFELINES)
     with pytest.raises(MonitorError, match="phase"):
-        check_coherence(s, m, 0, phase="during")
+        check_coherence(s, prepare_oracle(m, gs), 0, phase="during")

@@ -26,7 +26,7 @@ from cplkit.lang import (
     parse_guard,
     pretty,
 )
-from cplkit.msc import validate_msc
+from cplkit.msc import Msc, validate_msc
 from cplkit.rng import SplitMix64
 from cplkit.simulator import (
     FuzzParams,
@@ -517,6 +517,54 @@ def test_oracle_of_another_chart_or_guard_set_is_refused():
         with pytest.raises(ScenarioError, match="another chart or guard set"):
             differential_check(m, g, ext, oracle=oracle)
     assert differential_check(m, g, ext, oracle=prepare_oracle(m, g)).ok
+
+
+def test_checks_read_nothing_but_the_oracle(monkeypatch):
+    """With an oracle given, no denotational table, BFS or vector-timestamp
+    query runs: every expectation is read from the oracle."""
+    cases = []
+    for seed in range(40):
+        p = FuzzParams(seed=seed)
+        m = gen_random_msc(p)
+        g = gen_random_formulas(p, m.lifelines)
+        cases.append((m, g, sample_linear_extension(m, seed), prepare_oracle(m, g)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the checker recomputed an expectation")
+
+    monkeypatch.setattr(simulator, "sat_table", forbidden)
+    monkeypatch.setattr(simulator, "causal_past_sets", forbidden)
+    monkeypatch.setattr(Msc, "causal_leq", forbidden)
+    caught = set()
+    for m, g, ext, oracle in cases:
+        assert differential_check(m, g, ext, oracle=oracle).ok
+        for mutation in MUTATIONS:
+            if not differential_check(m, g, ext, mutation, oracle=oracle).ok:
+                caught.add(mutation)
+    assert caught == set(MUTATIONS)
+
+
+def test_replayed_stores_do_not_alias_chart_valuations(monkeypatch):
+    """The replay hands each monitor the chart's own valuation; the
+    monitor's store must be a copy of it."""
+    states = []
+    begin = simulator.begin_event
+
+    def recording(s, d, mutation=None):
+        states.append(s)
+        begin(s, d, mutation)
+
+    monkeypatch.setattr(simulator, "begin_event", recording)
+    p = FuzzParams(seed=5)
+    m = gen_random_msc(p)  # plain, writable dicts
+    g = gen_random_formulas(p, m.lifelines)
+    before = {e: dict(v) for e, v in m.val.items()}
+    assert differential_check(m, g, sample_linear_extension(m, 0)).ok
+    assert states
+    for s in states:
+        s.store["x0"] = "changed"
+        s.store["fresh"] = 1
+    assert m.val == before
 
 
 def replay_verdicts(m, g, ext):
