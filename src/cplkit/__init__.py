@@ -9,11 +9,13 @@ agree at every event.
 
 from .denot import eval_atom, eval_term, sat, sat_table
 from .lang import (
+    Cone,
     Formula,
     GuardSet,
     ParseError,
     close_guards,
     expand_derived,
+    guard_cones,
     parse_guard,
     pretty,
 )
@@ -50,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoherenceReport",
+    "Cone",
     "DifferentialReport",
     "EventDescriptor",
     "EventKind",
@@ -78,6 +81,7 @@ __all__ = [
     "fuzz_sweep",
     "gen_random_formulas",
     "gen_random_msc",
+    "guard_cones",
     "init_monitor",
     "load_scenario",
     "load_trace",

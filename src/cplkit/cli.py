@@ -80,15 +80,20 @@ def _at_least(low: int):
 
 
 def _default_seed(arg_seed: int | None) -> int:
-    """``--seed``, else ``$CPL_SEED``, else 0; a non-integer ``$CPL_SEED``
-    ends the run with exit 2, like a bad flag."""
-    if arg_seed is not None:
-        return arg_seed
-    env = os.environ.get("CPL_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise SystemExit(_fail(f"CPL_SEED must be an integer, got {env!r}")) from None
+    """``--seed``, else ``$CPL_SEED``, else 0. A ``$CPL_SEED`` that is not
+    an integer, or a seed of either source outside [0, 2**64) (which
+    :class:`~cplkit.rng.SplitMix64` would silently wrap), ends the run
+    with exit 2, like a bad flag."""
+    source, seed = "--seed", arg_seed
+    if seed is None:
+        source, env = "CPL_SEED", os.environ.get("CPL_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise SystemExit(_fail(f"CPL_SEED must be an integer, got {env!r}")) from None
+    if not 0 <= seed < 1 << 64:
+        raise SystemExit(_fail(f"{source} must be in [0, 2**64), got {seed}"))
+    return seed
 
 
 # ---------------------------------------------------------------------- #

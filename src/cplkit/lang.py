@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
@@ -586,9 +587,9 @@ class GuardSet:
     """A closed set of guards shared by all monitors of one run.
 
     ``sub`` lists every structural subformula exactly once, children
-    before parents; ``index`` maps a subformula to its position. Tables
-    in monitor states and message payloads are keyed by these positions.
-    ``plan`` compiles ``sub`` into one evaluation step per position, an
+    before parents; ``index`` maps a subformula to its position.
+    ``sat_table`` rows are keyed by these positions, and monitor rows by
+    the ascending positions of a :class:`Cone`. ``plan`` compiles ``sub`` into one evaluation step per position, an
     ``(opcode, a, b)`` triple (see :data:`OPCODES`): ``a``/``b`` are the
     child positions, except that an atom step carries the :class:`Atom`
     as ``a`` and an ``at`` step the lifeline name as ``b``. Children come
@@ -674,3 +675,119 @@ def close_guards(formulas: list[Formula] | tuple[Formula, ...]) -> GuardSet:
         cross_vars=frozenset(cross),
         local_vars=frozenset(local),
     )
+
+
+# ---------------------------------------------------------------------- #
+# Cones: the part of a guard set each lifeline evaluates
+# ---------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Cone:
+    """The part of a guard set that one lifeline's monitor evaluates.
+
+    ``steps`` are the guard-set positions it computes, ascending, and
+    ``plan`` their plan steps renumbered to local indices: children and
+    the body of ``at(Me, f)`` by their index in ``steps``, the body of
+    ``at(B, f)`` for another lifeline ``B`` by its bit in ``B``'s view
+    row. ``export`` are the local indices of the lifeline's own view row,
+    ``mirror`` the variables of its own value row.
+
+    Shared by every cone of one :func:`guard_cones` call: ``exports``
+    holds per lifeline the guard-set positions of its view row, and
+    ``mirrors`` the variables of its value row. ``whole`` says that every
+    lifeline runs the whole plan, exports every position and mirrors
+    every variable an ``At[B].x`` term reads, so no row needs slicing.
+    """
+
+    steps: tuple[int, ...]
+    plan: tuple[tuple, ...]
+    export: tuple[int, ...]
+    mirror: frozenset[str]
+    exports: Mapping[str, tuple[int, ...]]
+    mirrors: Mapping[str, frozenset[str]]
+    whole: bool = False
+
+    @cached_property
+    def local(self) -> dict[int, int]:
+        """Guard-set position -> local index, for the positions computed."""
+        return {p: i for i, p in enumerate(self.steps)}
+
+    @cached_property
+    def widths(self) -> dict[str, int]:
+        """The width of each lifeline's view row."""
+        return {b: len(ps) for b, ps in self.exports.items()}
+
+
+def guard_cones(
+    g: GuardSet, lifelines: Sequence[str], owners: Mapping[int, str] | None = None
+) -> dict[str, Cone]:
+    """Per lifeline, the :class:`Cone` its monitor evaluates.
+
+    ``owners`` maps each guard index to the lifeline that evaluates the
+    guard. The cones are then the least fixed point of: each guard is in
+    its owner's cone; ``and``, ``or``, ``S``, ``not`` and ``Y`` put their
+    children into their own cone; ``at(B, f)`` puts ``f`` into ``B``'s
+    cone. Lifeline ``B`` exports the positions that ``at(B, ·)`` steps in
+    the cones of other lifelines read, and mirrors the variables that
+    ``At[B].x`` terms in any cone read.
+
+    Without ``owners``, every lifeline runs the whole plan, exports every
+    position and mirrors every variable that an ``At[B].x`` term reads.
+    """
+    if owners is None:
+        every = tuple(range(len(g.plan)))
+        whole = Cone(
+            steps=every, plan=g.plan, export=every, mirror=g.cross_vars,
+            exports=dict.fromkeys(lifelines, every),
+            mirrors=dict.fromkeys(lifelines, g.cross_vars), whole=True,
+        )
+        return dict.fromkeys(lifelines, whole)
+
+    if sorted(owners) != list(range(len(g.formulas))):
+        raise ValueError("owners must map every guard index to a lifeline")
+    need: dict[str, set[int]] = {b: set() for b in lifelines}
+    read: dict[str, set[int]] = {b: set() for b in lifelines}
+    mirror: dict[str, set[str]] = {b: set() for b in lifelines}
+    work = [(owners[k], p) for k, p in enumerate(g.guard_pos)]
+    while work:
+        b, p = work.pop()
+        if b not in need:
+            raise ValueError(f"guards name lifeline {b!r}, which is not declared")
+        if p in need[b]:
+            continue
+        need[b].add(p)
+        op, x, y = g.plan[p]
+        if op == "at":
+            if y != b:
+                read.setdefault(y, set()).add(x)
+            work.append((y, x))
+        elif op == "atom":
+            for side in (x.left, x.right):
+                if isinstance(side, AtField) and side.lifeline in mirror:
+                    mirror[side.lifeline].add(side.name)
+        elif op != "true":
+            work.append((b, x))
+            if y is not None:
+                work.append((b, y))
+
+    exports = {b: tuple(sorted(read[b])) for b in lifelines}
+    mirrors = {b: frozenset(mirror[b]) for b in lifelines}
+    bit = {b: {p: i for i, p in enumerate(exports[b])} for b in lifelines}
+    cones: dict[str, Cone] = {}
+    for b in lifelines:
+        steps = tuple(sorted(need[b]))
+        local = {p: i for i, p in enumerate(steps)}
+        plan = []
+        for p in steps:
+            op, x, y = step = g.plan[p]
+            if op == "at":
+                step = (op, local[x] if y == b else bit[y][x], y)
+            elif op not in ("atom", "true"):
+                step = (op, local[x], None if y is None else local[y])
+            plan.append(step)
+        cones[b] = Cone(
+            steps=steps, plan=tuple(plan),
+            export=tuple(local[p] for p in exports[b]), mirror=mirrors[b],
+            exports=exports, mirrors=mirrors,
+        )
+    return cones

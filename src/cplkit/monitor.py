@@ -1,35 +1,42 @@
 """Per-lifeline online monitor.
 
-Each lifeline keeps a vector clock, latest-value views of every lifeline,
-its current store, and a snapshot of the previous event's subformula
-values. Messages piggyback the sender's clock and views, so a receiver
-can adopt whatever the sender knew more recently than itself.
+Each lifeline evaluates its :class:`~cplkit.lang.Cone` of the guard set:
+the subformulas its own guards need, and those that other lifelines read
+from it through ``at(Me, f)``. Its state holds a vector clock, a view row
+and a value row per lifeline it has seen, its current store, and its own
+values at the previous event. A lifeline's view row holds its values at
+the positions it exports (those some ``at(B, ·)`` step of another
+lifeline reads), its value row the variables some ``At[B].x`` term
+reads. Messages piggyback the sender's clock and rows, so a receiver can
+adopt whatever the sender knew more recently than itself. Without a
+cone, a monitor runs the whole plan and its rows cover the whole guard
+set.
 
 Processing one event runs in two phases:
 
   1. ``begin_event`` — on a receive, copy the view/value rows of every
      lifeline the message is strictly ahead on, then join the clocks;
-     snapshot the previous subformula values; tick the local clock
-     component; install the post-event store and mirror monitored
-     variables into the local value row.
-  2. ``finish_event`` — one pass over the guard set's plan
-     (:attr:`~cplkit.lang.GuardSet.plan`), children before parents: each
-     step appends its value to the current row, reading child values
-     from that row, ``Y``/``S`` history from the previous-event snapshot
-     and ``at(B, f)`` from ``B``'s view row at ``f``'s position. The
-     result is published as the local view row and (on a send) a payload
-     carrying deep snapshots of clock and views is emitted.
+     keep the previous event's values; tick the local clock component;
+     install the post-event store and mirror the cone's variables into
+     the local value row.
+  2. ``finish_event`` — one pass over the cone's plan, children before
+     parents: each step appends its value to the current row, reading
+     child values from that row, ``Y``/``S`` history from the previous
+     event's values and ``at(B, f)`` from ``B``'s view row at ``f``'s
+     bit. The exported part of the result is published as the local view
+     row and (on a send) a payload carrying snapshots of clock and rows
+     is emitted.
 
 The copy-then-join order in phase 1 matters: joining first would destroy
 the "is the sender ahead?" test. ``mutation`` arguments deliberately break
 one such detail each, to prove the differential harness notices; see
 :data:`MUTATIONS`.
 
-View rows are tuples aligned with the guard set's subformula list, value
-rows are small dicts; a row for lifeline ``B`` exists exactly when the
-clock component for ``B`` is positive. Each state is owned by one logical
-lifeline and is mutated only by its own event processing; everything that
-crosses monitors is an immutable payload snapshot.
+View rows are tuples, value rows are small dicts; a row for lifeline
+``B`` exists exactly when the clock component for ``B`` is positive.
+Each state is owned by one logical lifeline and is mutated only by its
+own event processing; everything that crosses monitors is an immutable
+payload snapshot.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .denot import compare_values
-from .lang import AtField, GuardSet, Lit, LocalVar
+from .lang import AtField, Cone, GuardSet, Lit, LocalVar, guard_cones
 from .msc import EventKind, Valuation, Value
 from .trace import TraceFormatError, decode_valuation, encode_valuation
 
@@ -62,8 +69,8 @@ class MonitorError(Exception):
 
 @dataclass
 class MessagePayload:
-    """Metadata piggybacked on one message: the sender's clock and both
-    latest-value tables, snapshotted at send time."""
+    """Metadata piggybacked on one message: the sender's clock and its
+    view and value rows, snapshotted at send time."""
 
     vc: dict[str, int]
     view: dict[str, Row]
@@ -80,9 +87,10 @@ class MessagePayload:
         }
 
     @classmethod
-    def from_wire(cls, data: dict, subformula_count: int) -> "MessagePayload":
-        """Inverse of :meth:`to_wire` for a guard set of
-        ``subformula_count`` subformulas; every malformed part raises
+    def from_wire(cls, data: dict, widths: Mapping[str, int]) -> "MessagePayload":
+        """Inverse of :meth:`to_wire`, each view row checked against its
+        lifeline's width in ``widths`` (:attr:`Cone.widths
+        <cplkit.lang.Cone.widths>`); every malformed part raises
         :class:`MonitorError`."""
         if not isinstance(data, dict) or set(data) != {"vc", "view", "var"}:
             raise MonitorError("payload must be an object with keys vc, view and var")
@@ -101,7 +109,11 @@ class MessagePayload:
             var = {b: decode_valuation(row, f"var of {b!r}") for b, row in items.items()}
         except TraceFormatError as exc:
             raise MonitorError(str(exc)) from None
-        view = {b: decode_row(text, subformula_count) for b, text in rows.items()}
+        view = {}
+        for b, text in rows.items():
+            if b not in widths:
+                raise MonitorError(f"payload has a view row for undeclared lifeline {b!r}")
+            view[b] = decode_row(text, widths[b])
         return cls(vc=dict(vc), view=view, var=var)
 
 
@@ -110,14 +122,14 @@ _CANONICAL_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
 
 
 def encode_row(row: Row) -> str:
-    """A view row as one bitset, bit ``i`` being subformula ``i``, written
-    as canonical lowercase hex (a string, since JSON numbers this wide
-    lose precision in most readers)."""
+    """A view row as one bitset, bit ``i`` being the row's ``i``-th value,
+    written as canonical lowercase hex (a string, since JSON numbers this
+    wide lose precision in most readers)."""
     return format(int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2), "x")
 
 
 def decode_row(text: object, width: int) -> Row:
-    """Inverse of :func:`encode_row` for rows of ``width`` subformulas.
+    """Inverse of :func:`encode_row` for rows of ``width`` values.
     Rejects non-strings, non-canonical hex (sign, ``0x``, ``_``,
     whitespace, upper case, leading zeros) and bits at or above
     ``width``."""
@@ -125,7 +137,7 @@ def decode_row(text: object, width: int) -> Row:
         raise MonitorError(f"view row {text!r} is not canonical lowercase hex")
     n = int(text, 16)
     if n >> width:
-        raise MonitorError(f"view row {text!r} is wider than {width} subformulas")
+        raise MonitorError(f"view row {text!r} is wider than {width} bits")
     return tuple(map("1".__eq__, bin(n | 1 << width)[:2:-1]))
 
 
@@ -146,12 +158,15 @@ class EventDescriptor:
 
 @dataclass
 class MonitorState:
-    """Runtime state of one lifeline's monitor."""
+    """Runtime state of one lifeline's monitor. ``vals`` are the values
+    of the cone's steps at the latest event, ``old`` those at the event
+    before it (all false before the first)."""
 
     me: str
     guards: GuardSet
     lifelines: tuple[str, ...]
     vc: dict[str, int]
+    cone: Cone
     view: dict[str, Row] = field(default_factory=dict)
     var: dict[str, dict[str, Value]] = field(default_factory=dict)
     store: Valuation = field(default_factory=dict)
@@ -160,24 +175,39 @@ class MonitorState:
 
     @property
     def last_vals(self) -> dict[int, bool]:
-        """Most recent verdict per guard (by position in the guard list)."""
+        """Most recent verdict per guard this lifeline evaluates (by
+        position in the guard list)."""
         if self.vals is None:
             return {}
-        return {i: self.vals[p] for i, p in enumerate(self.guards.guard_pos)}
+        local = self.cone.local
+        return {
+            i: self.vals[local[p]]
+            for i, p in enumerate(self.guards.guard_pos)
+            if p in local
+        }
 
 
 def init_monitor(
-    me: str, guards: GuardSet, lifelines: tuple[str, ...] | list[str]
+    me: str,
+    guards: GuardSet,
+    lifelines: tuple[str, ...] | list[str],
+    cone: Cone | None = None,
 ) -> MonitorState:
-    """Fresh monitor: zero clock, no view/value rows, empty store."""
+    """Fresh monitor: zero clock, no view/value rows, empty store. It
+    evaluates ``cone``, its lifeline's entry of one
+    :func:`~cplkit.lang.guard_cones` result shared by every monitor of a
+    run, or else the whole plan."""
     if me not in lifelines:
         raise MonitorError(f"{me!r} is not a declared lifeline")
+    if cone is None:
+        cone = guard_cones(guards, lifelines)[me]
     return MonitorState(
         me=me,
         guards=guards,
         lifelines=tuple(lifelines),
         vc={b: 0 for b in lifelines},
-        old=(False,) * len(guards.sub),
+        cone=cone,
+        old=(False,) * len(cone.steps),
     )
 
 
@@ -194,10 +224,12 @@ def begin_event(
             for b in s.lifelines:
                 s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
         ahead = [b for b in s.lifelines if mu.vc.get(b, 0) > s.vc[b]]
-        width = len(s.guards.sub)
+        widths = s.cone.widths
         for b in ahead:
-            if len(mu.view.get(b, ())) != width:
-                raise MonitorError(f"payload is ahead on {b!r} but has no view row of width {width}")
+            if len(mu.view.get(b, ())) != widths[b]:
+                raise MonitorError(
+                    f"payload is ahead on {b!r} but has no view row of width {widths[b]}"
+                )
         for b in ahead:
             # The sender is strictly ahead on b: adopt its rows wholesale
             # (entries the sender lacks must disappear here too).
@@ -206,22 +238,21 @@ def begin_event(
         for b in s.lifelines:
             s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
 
-    me_row = s.view.get(s.me)
-    s.old = me_row if me_row is not None else (False,) * len(s.guards.sub)
+    if s.vals is not None:
+        s.old = s.vals
 
     s.vc[s.me] += 1
     s.store = dict(d.store_after)
-    s.var[s.me] = {
-        x: s.store[x] for x in s.guards.cross_vars if x in s.store
-    }
+    s.var[s.me] = {x: s.store[x] for x in s.cone.mirror if x in s.store}
 
 
 def finish_event(
     s: MonitorState, d: EventDescriptor, mutation: str | None = None
 ) -> MessagePayload | None:
-    """Phase 2: run the plan, publish the local row, emit."""
-    s.vals = tuple(_run_plan(s, mutation))
-    s.view[s.me] = s.vals
+    """Phase 2: run the cone's plan, publish the exported row, emit."""
+    vals = s.vals = tuple(_run_plan(s, mutation))
+    cone = s.cone
+    s.view[s.me] = vals if cone.whole else tuple(map(vals.__getitem__, cone.export))
 
     if d.kind.tag == "send":
         return MessagePayload(
@@ -251,16 +282,16 @@ def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
 
 
 def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
-    """Values of every plan step. Child values come from the list being
-    built; ``Y`` and ``S`` read ``s.old``, which is meaningless at the
-    first local event, hence the ``later`` guard."""
+    """Values of every step of the cone's plan. Child values come from
+    the list being built; ``Y`` and ``S`` read ``s.old``, which is
+    meaningless at the first local event, hence the ``later`` guard."""
     me, vc, view, old = s.me, s.vc, s.view, s.old
     later = vc[me] > 1
     strict_at = mutation == "strict-at"
     vals: list[bool] = []
     y_row = vals if mutation == "live-old" else old
     push = vals.append
-    for op, a, b in s.guards.plan:
+    for op, a, b in s.cone.plan:
         if op == "atom":
             v = compare_values(a.op, _operand(s, a.left), _operand(s, a.right))
         elif op == "and":

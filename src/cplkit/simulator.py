@@ -1,7 +1,8 @@
 """Deterministic asynchronous replay, random generation, differential checks.
 
 The simulator replays a chart along a sampled schedule (any total order
-consistent with the causal order), drives one monitor per lifeline, routes
+consistent with the causal order), drives one monitor per lifeline (each
+evaluating only its cone of the guard set, :meth:`Scenario.cones`), routes
 message payloads along the matched send/receive edges, records guard
 verdicts at choice events, and optionally appends branch continuations
 chosen by those verdicts.
@@ -35,6 +36,7 @@ from .lang import (
     At,
     Atom,
     AtField,
+    Cone,
     Formula,
     GuardSet,
     Lit,
@@ -50,6 +52,7 @@ from .lang import (
     Yesterday,
     close_guards,
     expand_derived,
+    guard_cones,
     parse_guard,
     pretty,
 )
@@ -99,13 +102,15 @@ class Scenario:
     is read-only, so a changed scenario is a new one (``dataclasses.replace``).
     It holds its own copy of the chart whose tables and valuations are
     read-only views, so an edit fails where it is made instead of being
-    replayed unchecked. Guards are parsed and closed once, on first use.
+    replayed unchecked. Guards are parsed and closed once, on first use,
+    together with the lifelines' cones.
     """
 
     msc: Msc
     guard_texts: Mapping[int, str]
     branches: Mapping[int, tuple[Sequence, Sequence]] = field(default_factory=dict)
     _arms: dict = field(init=False, repr=False, compare=False)  # decoded branches
+    _owners: dict = field(init=False, repr=False, compare=False)  # guard event -> lifeline
 
     def __post_init__(self) -> None:
         m = self.msc
@@ -124,10 +129,14 @@ class Scenario:
         arms = {c: (tuple(a), tuple(b)) for c, (a, b) in self.branches.items()}
         object.__setattr__(self, "guard_texts", MappingProxyType(dict(self.guard_texts)))
         object.__setattr__(self, "branches", MappingProxyType(arms))
-        object.__setattr__(self, "_arms", _decode_branches(self))
+        arms, owners = _decode_branches(self)
+        object.__setattr__(self, "_arms", arms)
+        object.__setattr__(self, "_owners", owners)
 
     @cached_property
-    def _guards(self) -> tuple[tuple[Formula, ...], Mapping[int, int], GuardSet]:
+    def _guards(
+        self,
+    ) -> tuple[tuple[Formula, ...], Mapping[int, int], GuardSet, Mapping[str, Cone]]:
         lifelines = self.msc.lifelines
         items = sorted(self.guard_texts.items())
         formulas = tuple(
@@ -135,7 +144,9 @@ class Scenario:
             for _, text in items
         )
         indices = MappingProxyType({eid: i for i, (eid, _) in enumerate(items)})
-        return formulas, indices, close_guards(formulas)
+        g = close_guards(formulas)
+        owners = {i: self._owners[eid] for i, (eid, _) in enumerate(items)}
+        return formulas, indices, g, MappingProxyType(guard_cones(g, lifelines, owners))
 
     def guard_formulas(self) -> tuple[tuple[Formula, ...], Mapping[int, int]]:
         """The expanded guards ordered by choice event id, and the
@@ -145,6 +156,13 @@ class Scenario:
     def guard_set(self) -> GuardSet:
         """The closed guard set; the same object on every call."""
         return self._guards[2]
+
+    def cones(self) -> Mapping[str, Cone]:
+        """Per lifeline, the cone of the guard set its monitor evaluates
+        (:func:`~cplkit.lang.guard_cones`): a guard belongs to the
+        lifeline of its choice event, which for a choice inside a
+        continuation is the deciding lifeline."""
+        return self._guards[3]
 
 
 _SCENARIO_KEYS = {"lifelines", "events", "succ", "messages", "guards", "branches"}
@@ -210,14 +228,17 @@ def load_scenario(source) -> Scenario:
     return Scenario(msc=msc, guard_texts=guard_texts, branches=branches)
 
 
-def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decoded]]]:
+def _decode_branches(
+    sc: Scenario,
+) -> tuple[dict[int, tuple[list[Decoded], list[Decoded]]], dict[int, str]]:
     """Decode every continuation and check that appending any arm keeps
     the chart well-formed. Each event must be an object of the trace
     schema, not a receive, with an id used by no chart event and no other
     continuation event, on the lifeline of the choice that takes its
     branch (for choices inside continuations too). Guards must sit on
     choice events of the chart or of a continuation. Returns the decoded
-    ``(then, else)`` events per branching choice."""
+    ``(then, else)`` events per branching choice, and the lifeline of each
+    guarded choice."""
     lifelines = set(sc.msc.lifelines)
     pid, kind = sc.msc.pid.copy(), sc.msc.kind.copy()
     decoded: dict[int, tuple[list[Decoded], list[Decoded]]] = {}
@@ -253,7 +274,7 @@ def _decode_branches(sc: Scenario) -> dict[int, tuple[list[Decoded], list[Decode
                 raise ScenarioError(
                     f"continuation event {eid} is not on the owner lifeline {pid[c]!r}"
                 )
-    return decoded
+    return decoded, {eid: pid[eid] for eid in sc.guard_texts}
 
 
 # ---------------------------------------------------------------------- #
@@ -311,16 +332,18 @@ def run_scenario(
     continuations appended according to those verdicts.
 
     ``g`` must be the very object ``sc.guard_set()`` returns: every
-    monitor in a run shares it, and the verdict at each choice is read
-    at its guard's position in it.
+    monitor in a run shares it and evaluates its lifeline's cone of it
+    (:meth:`Scenario.cones`), and the verdict at each choice is read at
+    its guard's position in the owner's cone.
     """
     if g is not sc.guard_set():
         raise ScenarioError("guard set is not this scenario's own sc.guard_set()")
     guard_index_of = sc.guard_formulas()[1]
+    cones = sc.cones()
     arms_of = sc._arms
     m = sc.msc
     schedule = sample_linear_extension(m, seed)
-    monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
+    monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
     records: list[dict] = []
     order: list[int] = []
@@ -344,7 +367,7 @@ def run_scenario(
                 json.dumps(payload.to_wire(), sort_keys=True, separators=(",", ":"))
             )
         if gidx is not None:
-            verdict = state.vals[g.guard_pos[gidx]]
+            verdict = state.vals[state.cone.local[g.guard_pos[gidx]]]
             record["verdict"] = verdict
             if e in arms_of:
                 arm = arms_of[e][0 if verdict else 1]
@@ -615,6 +638,16 @@ def tagged_row(row: Mapping[str, Value]) -> frozenset:
     return frozenset((x, type(v), v) for x, v in row.items())
 
 
+def _project(row: tuple[bool, ...], positions: tuple[int, ...]) -> tuple[bool, ...]:
+    """A ``sat_table`` row at ``positions``."""
+    return tuple(map(row.__getitem__, positions))
+
+
+def _restrict(row: frozenset, names: frozenset[str]) -> frozenset:
+    """An oracle value row restricted to the variables ``names``."""
+    return frozenset(t for t in row if t[0] in names)
+
+
 @dataclass(frozen=True)
 class CoherenceReport:
     """Outcome of the four coherence conditions, with failure details."""
@@ -644,6 +677,11 @@ def check_coherence(
     recomputed here; the chart is asked only for its local chains
     (``events_of``, ``last_loc``), never a causal query.
 
+    Rows are compared on what the state's cone holds
+    (:class:`~cplkit.lang.Cone`): a view row on its lifeline's exported
+    positions, a value row on its mirrored variables, the previous-event
+    values on the cone's own positions.
+
     In phase ``"pre"`` the state is expected mid-update, after
     :func:`~cplkit.monitor.begin_event` for ``e`` and before
     :func:`~cplkit.monitor.finish_event` (the clock already counts
@@ -656,7 +694,7 @@ def check_coherence(
             latest visible event;
       (iii) the store induces the event's valuation on monitored
             variables, and the local value row mirrors it;
-      (iv)  the previous-event snapshot holds the subformula values at the
+      (iv)  the previous-event values are the cone's values at the
             previous local event (all false when there is none).
 
     In phase ``"post"``, after ``finish_event``, only (i) and (ii) are
@@ -672,6 +710,8 @@ def check_coherence(
     if m.pid[e] != s.me:
         raise MonitorError(f"event {e} is not on lifeline {s.me!r}")
     counts = oracle.counts[e]
+    cone = s.cone
+    whole, exports, mirrors = cone.whole, cone.exports, cone.mirrors
 
     i_bad = [] if s.vc == counts else [
         f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
@@ -693,9 +733,11 @@ def check_coherence(
             ii_bad.append(f"{b}: rows absent at clock {k}")
             continue
         target = m.events_of(b)[k - 1]
-        if s.view[b] != rows[target]:
+        want = rows[target] if whole else _project(rows[target], exports[b])
+        if s.view[b] != want:
             ii_bad.append(f"{b}: view row differs from event {target}")
-        if tagged_row(s.var[b]) != var_rows[target]:
+        want = var_rows[target] if whole else _restrict(var_rows[target], mirrors[b])
+        if tagged_row(s.var[b]) != want:
             ii_bad.append(f"{b}: value row differs from event {target}")
     conditions = {
         "i": (not i_bad, "; ".join(i_bad)),
@@ -709,11 +751,15 @@ def check_coherence(
     for x in sorted(gs.local_vars | gs.cross_vars):
         if not values_equal(s.store.get(x), nu.get(x)):
             iii_bad.append(f"store[{x}] != valuation at {e}")
-    if tagged_row(s.var.get(s.me, {})) != var_rows[e]:
+    want = var_rows[e] if whole else _restrict(var_rows[e], cone.mirror)
+    if tagged_row(s.var.get(s.me, {})) != want:
         iii_bad.append("local value row does not mirror the valuation")
 
     prev = m.last_loc(e)
-    expected_old = rows[prev] if prev is not None else (False,) * len(gs.sub)
+    if prev is None:
+        expected_old = (False,) * len(cone.steps)
+    else:
+        expected_old = rows[prev] if whole else _project(rows[prev], cone.steps)
     iv_bad = [] if s.old == expected_old else ["previous-event snapshot is wrong"]
 
     conditions["iii"] = (not iii_bad, "; ".join(iii_bad))
@@ -775,6 +821,7 @@ def differential_check(
     mutation: str | None = None,
     fail_fast: bool = False,
     oracle: Oracle | None = None,
+    owners: Mapping[int, str] | None = None,
 ) -> DifferentialReport:
     """Replay the chart along ``extension`` and verify, at every event:
 
@@ -789,6 +836,11 @@ def differential_check(
     Every expected value comes from ``oracle``, :func:`prepare_oracle` of
     this very ``m`` and ``g``, for callers that check several schedules;
     without it, one is built. An empty chart checks trivially.
+
+    ``owners`` maps each guard index to the lifeline that evaluates it;
+    each monitor then runs only its cone (:func:`~cplkit.lang.guard_cones`)
+    and ``pairs_checked`` counts the values computed. Without it, every
+    monitor runs the whole plan.
     """
     if oracle is not None and (oracle.msc is not m or oracle.guards is not g):
         raise ScenarioError("oracle was prepared for another chart or guard set")
@@ -799,9 +851,9 @@ def differential_check(
         oracle = prepare_oracle(m, g)
     rows = oracle.rows
 
-    monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
+    cones = guard_cones(g, m.lifelines, owners)
+    monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
-    nsub = len(g.sub)
 
     for e in extension:
         owner = m.pid[e]
@@ -821,17 +873,19 @@ def differential_check(
         if payload is not None:
             payloads[e] = payload
 
+        cone = state.cone
+        steps = cone.steps
         report.events_checked += 1
-        report.pairs_checked += nsub
-        expected = rows[e]
+        report.pairs_checked += len(steps)
+        expected = rows[e] if cone.whole else _project(rows[e], steps)
         if state.vals != expected:
-            for i in range(nsub):
+            for i, p in enumerate(steps):
                 if state.vals[i] != expected[i]:
                     report.mismatches.append(
                         {
                             "event": e,
-                            "formula": pretty(g.sub[i]),
-                            "sub_index": i,
+                            "formula": pretty(g.sub[p]),
+                            "sub_index": p,
                             "monitor": state.vals[i],
                             "oracle": expected[i],
                         }

@@ -13,8 +13,8 @@ import cplkit
 from cplkit.cli import main
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
-from cplkit.lang import MAX_NESTING, expand_derived, parse_guard
-from cplkit.simulator import load_scenario
+from cplkit.lang import MAX_NESTING, expand_derived, guard_cones, parse_guard
+from cplkit.simulator import Scenario, load_scenario
 
 from oracles import brute_causal_count, chart, ev, reachability, vars_of
 from scenarios import gen_scenario
@@ -204,9 +204,12 @@ def test_simulate_unwritable_out_exits_2(capsys, tmp_path, where):
 
 
 #: sha256 of the stdout of ``cplkit simulate <scenario> --extensions 3
-#: --seed S``: each fixture, and ``gen_scenario(4, depth=3)`` (branches
-#: nested inside continuations). Orders, verdicts, ``payload_bytes`` and
-#: snapshots must stay byte-identical across refactors.
+#: --seed S`` with every monitor running the whole plan (``guard_cones``
+#: without owners): each fixture, and ``gen_scenario(4, depth=3)``
+#: (branches nested inside continuations). Orders, verdicts,
+#: ``payload_bytes`` and snapshots of the whole-width wire, which
+#: ``fuzz_sweep`` and ``differential_check`` still use, must stay
+#: byte-identical across refactors.
 PINNED_SIMULATE = [
     ("merge_review", 0, "ab1de6f0e7a00e0abb1d6d5307879cfd4598e34896f35a2baaad62139a9ba2a3"),
     ("merge_review", 1, "b88e5db0284a68f00e6b73733c1b2577b6ca7e485749cfad1ca5da806a940f06"),
@@ -228,9 +231,35 @@ PINNED_SIMULATE = [
     ("generated", 2, "b8b371c2d205ebb0b662884dcdc5f0fb4bb55921e97c5e8e941a614777c2b158"),
 ]
 
+#: The same runs as ``PINNED_SIMULATE`` with each monitor running its own
+#: cone (``Scenario.cones``), as ``simulate`` does: the wire carries only
+#: the rows and values that ``at`` and ``At[B].x`` read, so
+#: ``payload_bytes`` and snapshots differ from the whole-width ones while
+#: orders, verdicts and grown charts are identical.
+PINNED_SIMULATE_SLICED = [
+    ("merge_review", 0, "51fa20167b12910fc9458967b11be10336310d35787a53ebf03e74de4e88a59e"),
+    ("merge_review", 1, "f8f225092710df8b0580436c3ac1976ca65119779fa32cc2d42e8870d4dc7efe"),
+    ("merge_review", 2, "54a07f6ac357cacbc12a1f4f5707f37bf494aee719d549bdb98e9d92ae535c37"),
+    ("merge_review_failure_first", 0,
+     "6cded70db586702712353fa89c86c75883ad4bfa22d015c7dae14ee702029261"),
+    ("merge_review_failure_first", 1,
+     "5ef580538d17b1b55615f88a60797ed1080337ecd0f7bf0525e6ad5198fa62a1"),
+    ("merge_review_failure_first", 2,
+     "f5dfc1db208228161858436f782c87f49bb2902567280cf878e45ead46a61c3c"),
+    ("merge_review_stale_candidate", 0,
+     "92a78133efcd69272f66664f3c29262c550d304a3e78eccf280a68557e948561"),
+    ("merge_review_stale_candidate", 1,
+     "adc06d74d9b3b004c5a21cff0a1dfdfe1974f49a5dc0e307b0a496b9612c2f60"),
+    ("merge_review_stale_candidate", 2,
+     "503ed1e4a4b2570137eeec06fd76d2967170a101e6f51d3afe0b21a676e41c19"),
+    ("generated", 0, "6790696a45e889e8e9243b72523288e2028e7288331b23dfbb0545109d76afa2"),
+    ("generated", 1, "5b311cb41bc0efa80a653b0973d0114eb02d324a2a5eb7ea8b7891d4a2ab87d2"),
+    ("generated", 2, "93ecfba119b0a793ab1d53136b7bc10734d340dac43744af7c21c184e3f72672"),
+]
 
-@pytest.mark.parametrize("name, seed, digest", PINNED_SIMULATE)
-def test_simulate_output_is_pinned(capsys, tmp_path, name, seed, digest):
+
+def simulate_digest(capsys, tmp_path, name, seed):
+    """``(exit code, sha256 of stdout)`` of a ``PINNED_SIMULATE`` run."""
     if name == "generated":
         path = tmp_path / "generated.json"
         path.write_text(json.dumps(gen_scenario(4, depth=3)))
@@ -239,7 +268,20 @@ def test_simulate_output_is_pinned(capsys, tmp_path, name, seed, digest):
     code, out, _ = run(
         capsys, "simulate", str(path), "--extensions", "3", "--seed", str(seed)
     )
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, seed, digest", PINNED_SIMULATE)
+def test_simulate_output_is_pinned(capsys, monkeypatch, tmp_path, name, seed, digest):
+    monkeypatch.setattr(
+        Scenario, "cones", lambda sc: guard_cones(sc.guard_set(), sc.msc.lifelines)
+    )
+    assert simulate_digest(capsys, tmp_path, name, seed) == (0, digest)
+
+
+@pytest.mark.parametrize("name, seed, digest", PINNED_SIMULATE_SLICED)
+def test_simulate_sliced_output_is_pinned(capsys, tmp_path, name, seed, digest):
+    assert simulate_digest(capsys, tmp_path, name, seed) == (0, digest)
 
 
 def test_simulate_cpl_seed_env(capsys, monkeypatch):
@@ -259,6 +301,30 @@ def test_non_integer_cpl_seed_exits_2(capsys, monkeypatch, argv, value):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: CPL_SEED must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["simulate", MERGE], ["fuzz", "--seeds", "1"]])
+@pytest.mark.parametrize("source", ["--seed", "CPL_SEED"])
+@pytest.mark.parametrize("value", [-1, 2**64, -(2**64)])
+def test_out_of_range_seed_exits_2(capsys, monkeypatch, argv, source, value):
+    # SplitMix64 keeps 64 bits, so -1 would replay 2**64 - 1 and 2**64 would replay 0.
+    monkeypatch.delenv("CPL_SEED", raising=False)
+    if source == "CPL_SEED":
+        monkeypatch.setenv("CPL_SEED", str(value))
+    else:
+        argv = [*argv, "--seed", str(value)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {source} must be in [0, 2**64), got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [["simulate", MERGE], ["fuzz", "--seeds", "1"]])
+def test_seeds_at_the_ends_of_the_range_run(capsys, argv):
+    for seed in (0, 2**64 - 1):
+        code, out, err = run(capsys, *argv, "--seed", str(seed))
+        assert code == 0 and out and err == ""
 
 
 TOO_DEEP = [

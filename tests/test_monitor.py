@@ -386,16 +386,17 @@ def test_payload_wire_round_trip():
         s, EventDescriptor(kind=EventKind("send", "B"), store_after={"x": 2})
     )
     wire = json.loads(json.dumps(payload.to_wire()))
-    back = MessagePayload.from_wire(wire, len(gs.sub))
+    back = MessagePayload.from_wire(wire, s.cone.widths)
     assert back == payload
 
 
 def test_payload_wire_validates_presence():
     with pytest.raises(MonitorError, match="unseen lifeline"):
-        MessagePayload.from_wire({"vc": {"A": 0}, "view": {"A": "1"}, "var": {"A": {}}}, 1)
+        MessagePayload.from_wire({"vc": {"A": 0}, "view": {"A": "1"}, "var": {"A": {}}}, {"A": 1})
     with pytest.raises(MonitorError, match="unseen lifeline"):
         MessagePayload.from_wire(
-            {"vc": {"A": 1}, "view": {"A": "1", "B": "0"}, "var": {"A": {}, "B": {}}}, 2
+            {"vc": {"A": 1}, "view": {"A": "1", "B": "0"}, "var": {"A": {}, "B": {}}},
+            {"A": 2, "B": 2},
         )
 
 
@@ -421,13 +422,13 @@ def test_view_rows_are_canonical_hex_bitsets():
 def test_payload_wire_rejects_non_boolean_view_values():
     for row in (1, True, None, ["1"], {"int": 1}):
         with pytest.raises(MonitorError, match="not canonical"):
-            MessagePayload.from_wire(wire(view={"A": row}), 1)
+            MessagePayload.from_wire(wire(view={"A": row}), {"A": 1})
 
 
 def test_payload_wire_rejects_negative_view_index():
     for row in ("-1", "+1", "-0"):
         with pytest.raises(MonitorError, match="not canonical"):
-            MessagePayload.from_wire(wire(view={"A": row}), 1)
+            MessagePayload.from_wire(wire(view={"A": row}), {"A": 1})
 
 
 @pytest.mark.parametrize(
@@ -435,24 +436,24 @@ def test_payload_wire_rejects_negative_view_index():
 )
 def test_payload_wire_rejects_non_canonical_rows(row):
     with pytest.raises(MonitorError, match="not canonical"):
-        MessagePayload.from_wire(wire(view={"A": row}), 8)
+        MessagePayload.from_wire(wire(view={"A": row}), {"A": 8})
 
 
 def test_payload_wire_rejects_view_index_out_of_range():
-    assert MessagePayload.from_wire(wire(view={"A": "1"}), 1).view == {"A": (True,)}
+    assert MessagePayload.from_wire(wire(view={"A": "1"}), {"A": 1}).view == {"A": (True,)}
     for row, width in (("2", 1), ("1", 0), ("100", 8), ("10000000000000000", 64)):
         with pytest.raises(MonitorError, match="wider"):
-            MessagePayload.from_wire(wire(view={"A": row}), width)
+            MessagePayload.from_wire(wire(view={"A": row}), {"A": width})
 
 
 def test_payload_wire_rejects_non_integer_clock():
     with pytest.raises(MonitorError, match="natural number"):
-        MessagePayload.from_wire(wire(vc={"A": "x"}), 1)
+        MessagePayload.from_wire(wire(vc={"A": "x"}), {"A": 1})
 
 
 def test_payload_wire_rejects_negative_clock():
     with pytest.raises(MonitorError, match="natural number"):
-        MessagePayload.from_wire(wire(vc={"A": -1}), 1)
+        MessagePayload.from_wire(wire(vc={"A": -1}), {"A": 1})
 
 
 def test_payload_wire_rejects_malformed_tables():
@@ -460,7 +461,7 @@ def test_payload_wire_rejects_malformed_tables():
                  {"vc": {"A": 1}, "var": []}, wire(view={1: "1"}),
                  wire(var={"A": {1: {"int": 1}}}), wire(var={"A": {"x": 1}})):
         with pytest.raises(MonitorError):
-            MessagePayload.from_wire(data, 1)
+            MessagePayload.from_wire(data, {"A": 1})
 
 
 def test_payload_wire_is_exactly_vc_view_and_var():
@@ -472,10 +473,10 @@ def test_payload_wire_is_exactly_vc_view_and_var():
         data = wire()
         del data[key]
         with pytest.raises(MonitorError, match="keys vc, view and var"):
-            MessagePayload.from_wire(data, 1)
+            MessagePayload.from_wire(data, {"A": 1})
     for extra in ({"payload": ""}, {"store": {}}, {"vc2": {}}):
         with pytest.raises(MonitorError, match="keys vc, view and var"):
-            MessagePayload.from_wire({**wire(), **extra}, 1)
+            MessagePayload.from_wire({**wire(), **extra}, {"A": 1})
 
 
 def test_payload_wire_view_and_var_name_the_same_lifelines():
@@ -483,7 +484,7 @@ def test_payload_wire_view_and_var_name_the_same_lifelines():
     for view, var in (({"A": "1"}, {}), ({"A": "1"}, {"A": {}, "B": {}}),
                       ({"A": "1", "B": "0"}, {"B": {}}), ({}, {"A": {}})):
         with pytest.raises(MonitorError, match="same lifelines"):
-            MessagePayload.from_wire(wire(vc=both, view=view, var=var), 1)
+            MessagePayload.from_wire(wire(vc=both, view=view, var=var), {"A": 1, "B": 1})
 
 
 @pytest.mark.parametrize("row", [
@@ -493,14 +494,14 @@ def test_payload_wire_view_and_var_name_the_same_lifelines():
 ])
 def test_payload_wire_rejects_bad_valuations(row):
     with pytest.raises(MonitorError):
-        MessagePayload.from_wire(wire(var={"A": row}), 1)
+        MessagePayload.from_wire(wire(var={"A": row}), {"A": 1})
 
 
 def test_readme_payload_example_round_trips():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("**Message payload wire format**", 1)[1]
     example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
-    payload = MessagePayload.from_wire(example, 5)
+    payload = MessagePayload.from_wire(example, {"A": 5, "B": 0})
     assert payload.view["A"] == (True, False, True, True, True)
     assert payload.to_wire() == example
 

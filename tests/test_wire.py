@@ -25,7 +25,8 @@ FIXTURES = ("merge_review", "merge_review_stale_candidate", "merge_review_failur
 def payloads_via_wire():
     """Within the block, ``run_scenario`` hands every receive the payload
     decoded from the bytes of its JSON encoding, and each decoded payload
-    must equal the one emitted."""
+    must equal the one emitted. Every cone of a run has the same widths,
+    so the sender's are the receiver's."""
     finish = simulator.finish_event
 
     def finish_via_wire(s, d, mutation=None):
@@ -33,7 +34,7 @@ def payloads_via_wire():
         if sent is None:
             return None
         data = json.dumps(sent.to_wire()).encode("utf-8")
-        received = MessagePayload.from_wire(json.loads(data), len(s.guards.sub))
+        received = MessagePayload.from_wire(json.loads(data), s.cone.widths)
         assert received == sent
         return received
 
@@ -101,10 +102,10 @@ NEAR_PAYLOADS = st.fixed_dictionaries(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(JSON, NEAR_PAYLOADS), st.integers(0, 70))
-def test_from_wire_raises_only_monitor_error(data, width):
+@given(st.one_of(JSON, NEAR_PAYLOADS), st.dictionaries(NAMES, st.integers(0, 70), max_size=3))
+def test_from_wire_raises_only_monitor_error(data, widths):
     try:
-        MessagePayload.from_wire(data, width)
+        MessagePayload.from_wire(data, widths)
     except MonitorError:
         pass
 
@@ -116,7 +117,7 @@ def test_from_wire_names_the_lifeline_and_variable_of_a_bad_value():
         "var": {"A": {"x": {"int": 99999999999999999999}}},
     }
     with pytest.raises(MonitorError) as exc:
-        MessagePayload.from_wire(data, 1)
+        MessagePayload.from_wire(data, {"A": 1})
     assert str(exc.value) == (
         "var of 'A': variable 'x': int value out of 64-bit range: 99999999999999999999"
     )
