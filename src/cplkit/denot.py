@@ -26,6 +26,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .lang import (
+    COMPARISONS,
     Atom,
     AtField,
     Formula,
@@ -56,28 +57,11 @@ def _operand_value(m: Msc, e: int, x: Operand) -> Value | None:
 
 
 def compare_values(op: str, a: Value | None, b: Value | None) -> bool:
-    """Atom comparison with the undefined-is-false rule.
-
-    Undefined operands, mismatched tags, and order comparisons on
-    anything but two integers all yield false (including ``!=``).
-    """
-    if a is None or b is None:
-        return False
-    if op == "==":
-        return type(a) is type(b) and a == b
-    if op == "!=":
-        return type(a) is type(b) and a != b
-    if type(a) is not int or type(b) is not int:
-        return False
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison {op!r}")
+    """Atom comparison by :data:`~cplkit.lang.COMPARISONS`, with the
+    undefined-is-false rule; ValueError for an unknown ``op``."""
+    if op not in COMPARISONS:
+        raise ValueError(f"unknown comparison {op!r}")
+    return COMPARISONS[op](a, b)
 
 
 def eval_atom(m: Msc, e: int, a: Atom) -> bool:
@@ -115,7 +99,7 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
                 else _term_column(m, x, pos, terms, visible)
                 for x in (a.left, a.right)
             )
-            col = list(map(compare_values, repeat(a.op, n), left, right))
+            col = list(map(COMPARISONS[a.op], left, right))
         elif op == "and":
             col = [x and y for x, y in zip(cols[a], cols[b])]
         elif op == "or":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Union
 
-from .msc import INT64_MAX, INT64_MIN
+from .msc import INT64_MAX, INT64_MIN, Value
 
 # ---------------------------------------------------------------------- #
 # Syntax tree
@@ -71,7 +71,15 @@ class Lit:
 
 Operand = Union[LocalVar, AtField, Lit]
 
-COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+#: Each comparison's function of two values (None if undefined), for both semantics.
+COMPARISONS = {
+    "==": lambda a, b: a is not None and type(a) is type(b) and a == b,
+    "!=": lambda a, b: a is not None and type(a) is type(b) and a != b,
+    "<": lambda a, b: type(a) is int and type(b) is int and a < b,
+    "<=": lambda a, b: type(a) is int and type(b) is int and a <= b,
+    ">": lambda a, b: type(a) is int and type(b) is int and a > b,
+    ">=": lambda a, b: type(a) is int and type(b) is int and a >= b,
+}
 
 
 @dataclass(frozen=True)
@@ -711,6 +719,29 @@ class Cone:
     def local(self) -> dict[int, int]:
         """Guard-set position -> local index, for the positions computed."""
         return {p: i for i, p in enumerate(self.steps)}
+
+    @cached_property
+    def program(self) -> tuple[tuple[tuple, ...], dict[int, Value], tuple[str, ...]]:
+        """``plan`` with atoms resolved, its literals and the lifelines it reads:
+        an atom is ``("atom", f, (i, x, j, y))``, ``f`` of key ``x`` of source ``i``
+        and ``y`` of ``j``; 0 is the literals, 1 the store, 2 + k the k-th read row."""
+        literals: dict[int, Value] = {}
+        reads: dict[str, int] = {}
+
+        def source(x: Operand) -> tuple[int, object]:
+            if isinstance(x, Lit):
+                literals[len(literals)] = x.value
+                return 0, len(literals) - 1
+            if isinstance(x, LocalVar):
+                return 1, x.name
+            return 2 + reads.setdefault(x.lifeline, len(reads)), x.name
+
+        steps = tuple(
+            (op, COMPARISONS[a.op], (*source(a.left), *source(a.right)))
+            if op == "atom" else (op, a, b)
+            for op, a, b in self.plan
+        )
+        return steps, literals, tuple(reads)
 
     @cached_property
     def widths(self) -> dict[str, int]:

@@ -14,7 +14,7 @@ set.
 
 Processing one event runs in two phases:
 
-  1. ``begin_event`` — on a receive, copy the view/value rows of every
+  1. ``begin_event`` — on a receive, adopt the view/value rows of every
      lifeline the message is strictly ahead on, then join the clocks;
      keep the previous event's values; tick the local clock component;
      install the post-event store and mirror the cone's variables into
@@ -24,8 +24,8 @@ Processing one event runs in two phases:
      child values from that row, ``Y``/``S`` history from the previous
      event's values and ``at(B, f)`` from ``B``'s view row at ``f``'s
      bit. The exported part of the result is published as the local view
-     row and (on a send) a payload carrying snapshots of clock and rows
-     is emitted.
+     row and (on a send) a payload is emitted: copies of the clock and of
+     the row tables, sharing the rows.
 
 The copy-then-join order in phase 1 matters: joining first would destroy
 the "is the sender ahead?" test. ``mutation`` arguments deliberately break
@@ -34,9 +34,9 @@ one such detail each, to prove the differential harness notices; see
 
 View rows are tuples, value rows are small dicts; a row for lifeline
 ``B`` exists exactly when the clock component for ``B`` is positive.
-Each state is owned by one logical lifeline and is mutated only by its
-own event processing; everything that crosses monitors is an immutable
-payload snapshot.
+Each state is mutated only by its own lifeline's events, and no monitor
+edits a published row: the own value row is new at every event and an
+adopted row replaces the old one, so payloads and states share rows.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .denot import compare_values
-from .lang import AtField, Cone, GuardSet, Lit, LocalVar, guard_cones
+from .lang import Cone, GuardSet, guard_cones
 from .msc import EventKind, Valuation, Value
 from .trace import TraceFormatError, decode_valuation, encode_valuation
 
@@ -70,7 +69,7 @@ class MonitorError(Exception):
 @dataclass
 class MessagePayload:
     """Metadata piggybacked on one message: the sender's clock and its
-    view and value rows, snapshotted at send time."""
+    view and value rows at send time (the tables copied, the rows shared)."""
 
     vc: dict[str, int]
     view: dict[str, Row]
@@ -90,8 +89,8 @@ class MessagePayload:
     def from_wire(cls, data: dict, widths: Mapping[str, int]) -> "MessagePayload":
         """Inverse of :meth:`to_wire`, each view row checked against its
         lifeline's width in ``widths`` (:attr:`Cone.widths
-        <cplkit.lang.Cone.widths>`); every malformed part raises
-        :class:`MonitorError`."""
+        <cplkit.lang.Cone.widths>`, naming every declared lifeline); every
+        malformed part raises :class:`MonitorError`."""
         if not isinstance(data, dict) or set(data) != {"vc", "view", "var"}:
             raise MonitorError("payload must be an object with keys vc, view and var")
         vc, rows, items = data["vc"], data["view"], data["var"]
@@ -100,6 +99,8 @@ class MessagePayload:
         for b, n in vc.items():
             if not isinstance(b, str) or type(n) is not int or n < 0:
                 raise MonitorError(f"clock of {b!r} is not a natural number: {n!r}")
+            if b not in widths:
+                raise MonitorError(f"payload has a clock for undeclared lifeline {b!r}")
         if set(rows) != set(items):
             raise MonitorError("payload view and var must name the same lifelines")
         for b in rows:
@@ -109,11 +110,7 @@ class MessagePayload:
             var = {b: decode_valuation(row, f"var of {b!r}") for b, row in items.items()}
         except TraceFormatError as exc:
             raise MonitorError(str(exc)) from None
-        view = {}
-        for b, text in rows.items():
-            if b not in widths:
-                raise MonitorError(f"payload has a view row for undeclared lifeline {b!r}")
-            view[b] = decode_row(text, widths[b])
+        view = {b: decode_row(text, widths[b]) for b, text in rows.items()}
         return cls(vc=dict(vc), view=view, var=var)
 
 
@@ -234,7 +231,7 @@ def begin_event(
             # The sender is strictly ahead on b: adopt its rows wholesale
             # (entries the sender lacks must disappear here too).
             s.view[b] = mu.view[b]
-            s.var[b] = dict(mu.var.get(b, {}))
+            s.var[b] = mu.var.get(b, {})
         for b in s.lifelines:
             s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
 
@@ -255,11 +252,7 @@ def finish_event(
     s.view[s.me] = vals if cone.whole else tuple(map(vals.__getitem__, cone.export))
 
     if d.kind.tag == "send":
-        return MessagePayload(
-            vc=dict(s.vc),
-            view=dict(s.view),
-            var={b: dict(row) for b, row in s.var.items()},
-        )
+        return MessagePayload(vc=dict(s.vc), view=dict(s.view), var=dict(s.var))
     return None
 
 
@@ -291,9 +284,12 @@ def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
     vals: list[bool] = []
     y_row = vals if mutation == "live-old" else old
     push = vals.append
-    for op, a, b in s.cone.plan:
+    steps, literals, reads = s.cone.program
+    src = [literals, s.store, *[s.var.get(b, {}) for b in reads]]
+    for op, a, b in steps:
         if op == "atom":
-            v = compare_values(a.op, _operand(s, a.left), _operand(s, a.right))
+            i, x, j, y = b
+            v = a(src[i].get(x), src[j].get(y))
         elif op == "and":
             v = vals[a] and vals[b]
         elif op == "or":
@@ -319,14 +315,3 @@ def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
             v = True
         push(v)
     return vals
-
-
-def _operand(s: MonitorState, x: Lit | LocalVar | AtField) -> Value | None:
-    if isinstance(x, Lit):
-        return x.value
-    if isinstance(x, LocalVar):
-        return s.store.get(x.name)
-    row = s.var.get(x.lifeline)
-    if row is None:
-        return None
-    return row.get(x.name)

@@ -297,18 +297,31 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
 
 @dataclass
 class RunLog:
-    """Everything one replay produced."""
+    """Everything one replay produced, unencoded until :meth:`to_dict`."""
 
     order: list[int]
     records: list[dict]
-    snapshots: dict[str, dict]
+    payloads: dict[int, MessagePayload]  # by send event
+    states: dict[str, MonitorState]  # each lifeline's final state
     msc: Msc  # the executed chart, including appended continuations
 
     def to_dict(self) -> dict:
+        """The printed log; ``payload_bytes`` is a payload's canonical JSON length."""
+        size = {
+            e: len(json.dumps(p.to_wire(), sort_keys=True, separators=(",", ":")))
+            for e, p in self.payloads.items()
+        }
         return {
             "order": list(self.order),
-            "records": self.records,
-            "snapshots": {b: self.snapshots[b] for b in sorted(self.snapshots)},
+            "records": [
+                {**r, "payload_bytes": size[r["event"]]} if r["event"] in size else r
+                for r in self.records
+            ],
+            "snapshots": {  # final clock and rows in the wire encoding, and store
+                b: {**MessagePayload(s.vc, s.view, s.var).to_wire(),
+                    "store": encode_valuation(s.store)}
+                for b, s in sorted(self.states.items())
+            },
         }
 
 
@@ -316,12 +329,6 @@ def _descriptor(m: Msc, e: int, payloads) -> EventDescriptor:
     kind = m.kind[e]
     incoming = payloads[m.matching_send(e)] if kind.tag == "recv" else None
     return EventDescriptor(kind=kind, store_after=m.val[e], incoming=incoming)
-
-
-def _snapshot(s: MonitorState) -> dict:
-    """The state's clock and tables in the wire encoding, plus its store."""
-    snap = MessagePayload(vc=s.vc, view=s.view, var=s.var).to_wire()
-    return {**snap, "store": encode_valuation(s.store)}
 
 
 def run_scenario(
@@ -363,9 +370,6 @@ def run_scenario(
         record: dict = {"event": e, "lifeline": owner, "kind": m.kind[e].tag}
         if payload is not None:
             payloads[e] = payload
-            record["payload_bytes"] = len(
-                json.dumps(payload.to_wire(), sort_keys=True, separators=(",", ":"))
-            )
         if gidx is not None:
             verdict = state.vals[state.cone.local[g.guard_pos[gidx]]]
             record["verdict"] = verdict
@@ -375,12 +379,7 @@ def run_scenario(
                 queue.extend(eid for eid, _, _ in arm)
         records.append(record)
 
-    log = RunLog(
-        order=order,
-        records=records,
-        snapshots={b: _snapshot(monitors[b]) for b in m.lifelines},
-        msc=m,
-    )
+    log = RunLog(order=order, records=records, payloads=payloads, states=monitors, msc=m)
     if not m.is_linear_extension(log.order):
         raise ScenarioError("internal error: executed order is not a schedule")
     return log
@@ -603,17 +602,18 @@ def causal_past_sets(m: Msc) -> dict[int, set[int]]:
 
 
 class Oracle(NamedTuple):
-    """The denotational side of differential checks on one chart and
-    guard set, which no schedule changes: the ``sat_table`` rows, per
-    event the clock it must have (each lifeline's count in its BFS causal
-    past) and the value row describing it (its valuation restricted to
-    the guards' ``At[B].x`` variables, as a :func:`tagged_row`)."""
+    """What differential checks on one chart and guard set share, since no
+    schedule changes it: the ``sat_table`` rows, per event the clock it
+    must have (each lifeline's count in its BFS causal past) and the value
+    row describing it (its valuation restricted to the guards' ``At[B].x``
+    variables, as a :func:`tagged_row`), and the whole-plan cones."""
 
     msc: Msc
     guards: GuardSet
     rows: dict[int, tuple[bool, ...]]
     counts: dict[int, dict[str, int]]
     var_rows: dict[int, frozenset]
+    cones: dict[str, Cone]  # guard_cones(guards, msc.lifelines), shared by unsliced replays
 
 
 def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
@@ -629,7 +629,7 @@ def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
         e: tagged_row({x: v for x, v in m.val[e].items() if x in cross})
         for e in m.events
     }
-    return Oracle(m, g, sat_table(m, g), counts, var_rows)
+    return Oracle(m, g, sat_table(m, g), counts, var_rows, guard_cones(g, m.lifelines))
 
 
 def tagged_row(row: Mapping[str, Value]) -> frozenset:
@@ -851,7 +851,7 @@ def differential_check(
         oracle = prepare_oracle(m, g)
     rows = oracle.rows
 
-    cones = guard_cones(g, m.lifelines, owners)
+    cones = oracle.cones if owners is None else guard_cones(g, m.lifelines, owners)
     monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
 

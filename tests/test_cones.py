@@ -9,7 +9,7 @@ import pytest
 
 from cplkit.denot import sat_table
 from cplkit.fixtures import fixture_path
-from cplkit.lang import close_guards, expand_derived, guard_cones, parse_guard
+from cplkit.lang import COMPARISONS, close_guards, expand_derived, guard_cones, parse_guard
 from cplkit.monitor import (
     MUTATIONS,
     EventDescriptor,
@@ -74,6 +74,21 @@ def test_at_own_lifeline_stays_local():
     assert cones["A"].plan[1] == ("at", 0, "A")
     assert cones["B"].steps == cones["C"].steps == ()
     assert all(ps == () for ps in cones["A"].exports.values())
+
+
+def test_program_resolves_each_atom_once():
+    g = guards_of("At[C].z == 3 && Here.x < At[B].y || At[C].z != Here.x")
+    cone = guard_cones(g, LIFELINES, {0: "A"})["A"]
+    steps, literals, reads = cone.program
+    assert literals == {0: 3} and reads == ("C", "B")
+    atoms = [(a, b) for op, a, b in steps if op == "atom"]
+    assert atoms == [
+        (COMPARISONS["=="], (2, "z", 0, 0)),
+        (COMPARISONS["<"], (1, "x", 3, "y")),
+        (COMPARISONS["!="], (2, "z", 1, "x")),
+    ]
+    assert [s for s in steps if s[0] != "atom"] == [p for p in cone.plan if p[0] != "atom"]
+    assert cone.program is cone.program
 
 
 def test_at_chains_pass_through_cones_and_mirror_what_at_terms_read():

@@ -128,6 +128,14 @@ def test_cross_tag_comparisons_are_false(merge):
     assert compare_values("<=", True, 1) is False
 
 
+def test_unknown_comparison_raises():
+    from cplkit.denot import compare_values
+
+    for a, b in ((1, 2), (None, 1), ("a", "a")):
+        with pytest.raises(ValueError, match="unknown comparison"):
+            compare_values("=~", a, b)
+
+
 # ---------------------------------------------------------------------- #
 # sat
 # ---------------------------------------------------------------------- #

@@ -400,6 +400,15 @@ def test_payload_wire_validates_presence():
         )
 
 
+def test_payload_wire_rejects_clocks_of_undeclared_lifelines():
+    for data in (
+        {"vc": {"Z": 3}, "view": {}, "var": {}},
+        {"vc": {"A": 1, "Z": 0}, "view": {"A": "1"}, "var": {"A": {}}},
+    ):
+        with pytest.raises(MonitorError, match="undeclared lifeline 'Z'"):
+            MessagePayload.from_wire(data, {"A": 1})
+
+
 def wire(vc=None, view=None, var=None):
     return {"vc": {"A": 1} if vc is None else vc,
             "view": {"A": "1"} if view is None else view,

@@ -148,7 +148,7 @@ def test_executed_order_is_an_extension_and_sends_record_sizes():
     sc = load_scenario(fixture_path("merge_review"))
     log = run_scenario(sc, sc.guard_set(), seed=2)
     assert log.msc.is_linear_extension(log.order)
-    sizes = [r["payload_bytes"] for r in log.records if "payload_bytes" in r]
+    sizes = [r["payload_bytes"] for r in log.to_dict()["records"] if "payload_bytes" in r]
     assert len(sizes) == 3 and all(n > 0 for n in sizes)
 
 

@@ -1,8 +1,11 @@
 """The payload wire format across a byte boundary: every emitted payload
 survives the round trip, the decoder fails only with ``MonitorError``,
 and replays whose receives get payloads decoded from bytes log exactly
-what in-memory replays log."""
+what in-memory replays log. A run encodes nothing: the sizes its log
+prints are those of the payloads as emitted, which no later event
+changes."""
 
+import copy
 import json
 from contextlib import contextmanager
 from unittest import mock
@@ -40,6 +43,57 @@ def payloads_via_wire():
 
     with mock.patch.object(simulator, "finish_event", finish_via_wire):
         yield
+
+
+@contextmanager
+def emitted_payloads():
+    """Within the block, every payload ``run_scenario`` emits is recorded,
+    in emission order, with a deep copy of it and the length of its
+    canonical JSON encoding, both taken when it is emitted."""
+    finish = simulator.finish_event
+    sent = []
+
+    def recording(s, d, mutation=None):
+        p = finish(s, d, mutation)
+        if p is not None:
+            size = len(json.dumps(p.to_wire(), sort_keys=True, separators=(",", ":")))
+            sent.append((p, copy.deepcopy(p), size))
+        return p
+
+    with mock.patch.object(simulator, "finish_event", recording):
+        yield sent
+
+
+def replays():
+    """The three fixtures with seeds 0-9, and 200 generated scenarios."""
+    for name in FIXTURES:
+        sc = load_scenario(fixture_path(name))
+        for seed in range(10):
+            yield sc, seed
+    for seed in range(200):
+        yield load_scenario(gen_scenario(seed)), seed
+
+
+def test_printed_sizes_are_the_sizes_at_emission():
+    sends = 0
+    for sc, seed in replays():
+        with emitted_payloads() as sent:
+            log = run_scenario(sc, sc.guard_set(), seed)
+        records = log.to_dict()["records"]
+        sizes = [r["payload_bytes"] for r in records if r["kind"] == "send"]
+        assert sizes == [n for _, _, n in sent], (seed, sc.guard_texts)
+        assert all("payload_bytes" not in r for r in log.records)
+        sends += len(sent)
+    assert sends > 500
+
+
+def test_no_published_row_changes_during_a_run():
+    for sc, seed in replays():
+        with emitted_payloads() as sent:
+            log = run_scenario(sc, sc.guard_set(), seed)
+        assert [p for p, _, _ in sent] == list(log.payloads.values())
+        for p, at_emission, _ in sent:
+            assert p == at_emission, (seed, sc.guard_texts)
 
 
 def same_log_via_wire(sc, seed):
