@@ -11,8 +11,10 @@ The differential harness replays a chart the same way and, at every
 event, compares every subformula value the monitor computed against the
 denotational table and checks the state's coherence before and after
 the evaluation phase (:func:`check_coherence`). Every expectation comes
-from one :class:`Oracle` per chart and guard set, whose clock counts a
-BFS reachability pass derives without the vector-timestamp machinery.
+from one :class:`Oracle` per chart and guard set, which stores the state
+a coherent monitor holds at each event, its clock counted by a BFS
+reachability pass without the vector-timestamp machinery: the checker
+compares whole states first and explains only a state that differs.
 
 All randomness flows through :class:`~cplkit.rng.SplitMix64`, so every
 run replays exactly from its seed.
@@ -27,6 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
+from operator import getitem
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -61,6 +64,7 @@ from .monitor import (
     MessagePayload,
     MonitorError,
     MonitorState,
+    Row,
     begin_event,
     finish_event,
     init_monitor,
@@ -498,66 +502,45 @@ def gen_random_msc(p: FuzzParams) -> Msc:
 _FORMULA_STREAM = 0x6A09E667F3BCC909  # offsets formula seeds from chart seeds
 
 
+_LEAF_PICKS = ("atom", "atom", "true", "seen")
+_INNER_PICKS = ("atom", "not", "and", "or", "yesterday", "since", "at", "past_at",
+                "past_any", "seen", "true")
+#: Operator constructors by pick, and how many subformulas each takes.
+_NODES = {"not": (Not, 1), "yesterday": (Yesterday, 1), "past_any": (PastAny, 1),
+          "and": (And, 2), "or": (Or, 2), "since": (Since, 2), "at": (At, 1),
+          "past_at": (PastAt, 1)}
+
+
 def random_formula(
     rng: SplitMix64, depth: int, lifelines: tuple[str, ...], p: FuzzParams
 ) -> Formula:
     """One random formula (derived forms included) of at most this depth."""
+    pick = rng.choice(_LEAF_PICKS if depth == 0 else _INNER_PICKS)
+    if pick == "atom":
+        return _random_atom(rng, lifelines, p)
+    if pick == "true":
+        return Truth()
+    if pick == "seen":
+        return Seen(rng.choice(lifelines))
+    node, arity = _NODES[pick]
+    head = [rng.choice(lifelines)] if pick in ("at", "past_at") else []
+    return node(*head, *[random_formula(rng, depth - 1, lifelines, p) for _ in range(arity)])
 
-    def term():
-        name = f"x{rng.randint(0, p.var_alphabet - 1)}"
-        if rng.random() < 0.5:
-            return AtField(rng.choice(lifelines), name)
-        return LocalVar(name)
 
-    def atom() -> Formula:
-        op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
-        if rng.random() < 0.6:
-            left, right = term(), Lit(rng.choice(p.value_alphabet))
-        elif rng.random() < 0.5:
-            left, right = Lit(rng.choice(p.value_alphabet)), term()
-        else:
-            left, right = term(), term()
-        return Atom(op, left, right)
+def _random_term(rng: SplitMix64, lifelines: tuple[str, ...], p: FuzzParams):
+    name = f"x{rng.randint(0, p.var_alphabet - 1)}"
+    return AtField(rng.choice(lifelines), name) if rng.random() < 0.5 else LocalVar(name)
 
-    def gen(d: int) -> Formula:
-        leafs = ("atom", "atom", "true", "seen")
-        inner = (
-            "atom",
-            "not",
-            "and",
-            "or",
-            "yesterday",
-            "since",
-            "at",
-            "past_at",
-            "past_any",
-            "seen",
-            "true",
-        )
-        pick = rng.choice(leafs if d == 0 else inner)
-        if pick == "atom":
-            return atom()
-        if pick == "true":
-            return Truth()
-        if pick == "seen":
-            return Seen(rng.choice(lifelines))
-        if pick == "not":
-            return Not(gen(d - 1))
-        if pick == "and":
-            return And(gen(d - 1), gen(d - 1))
-        if pick == "or":
-            return Or(gen(d - 1), gen(d - 1))
-        if pick == "yesterday":
-            return Yesterday(gen(d - 1))
-        if pick == "since":
-            return Since(gen(d - 1), gen(d - 1))
-        if pick == "at":
-            return At(rng.choice(lifelines), gen(d - 1))
-        if pick == "past_at":
-            return PastAt(rng.choice(lifelines), gen(d - 1))
-        return PastAny(gen(d - 1))
 
-    return gen(depth)
+def _random_atom(rng: SplitMix64, lifelines: tuple[str, ...], p: FuzzParams) -> Formula:
+    op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+    if rng.random() < 0.6:
+        left, right = _random_term(rng, lifelines, p), Lit(rng.choice(p.value_alphabet))
+    elif rng.random() < 0.5:
+        left, right = Lit(rng.choice(p.value_alphabet)), _random_term(rng, lifelines, p)
+    else:
+        left, right = _random_term(rng, lifelines, p), _random_term(rng, lifelines, p)
+    return Atom(op, left, right)
 
 
 def gen_random_formulas(p: FuzzParams, lifelines: tuple[str, ...]) -> GuardSet:
@@ -601,69 +584,113 @@ def causal_past_sets(m: Msc) -> dict[int, set[int]]:
     return past
 
 
+class Coherent(NamedTuple):
+    """What a coherent monitor holds at event ``e`` (:func:`check_coherence`)."""
+
+    clock: dict[str, int]  # each lifeline's count in the BFS causal past of e
+    seen: dict[str, int]  # per lifeline with a positive count, its latest visible event
+    before: dict[str, Row]  # view rows before the update: the own row is the previous event's
+    view: dict[str, Row]  # view rows after the update: the own row is e's
+    var: dict[str, dict[str, Value]]  # value rows: the own row is e's
+    tags: tuple[list[str], list[str], list[type]]  # per value var[b][x]: b, x, its type
+    store: dict[str, Value]  # e's valuation
+    store_tags: list[type]  # the type of each store value, in store order
+    old: Row  # the cone's values at the previous local event, all false at the first
+    vals: Row  # the cone's values at e
+
+
 class Oracle(NamedTuple):
     """What differential checks on one chart and guard set share, since no
-    schedule changes it: the ``sat_table`` rows, per event the clock it
-    must have (each lifeline's count in its BFS causal past) and the value
-    row describing it (its valuation restricted to the guards' ``At[B].x``
-    variables, as a :func:`tagged_row`), and the whole-plan cones."""
+    schedule changes it: the ``sat_table`` rows, the cones the monitors
+    run and, per event, the :class:`Coherent` state of a monitor running
+    them. :func:`prepare_oracle` builds it for the whole-plan cones."""
 
     msc: Msc
     guards: GuardSet
-    rows: dict[int, tuple[bool, ...]]
-    counts: dict[int, dict[str, int]]
-    var_rows: dict[int, frozenset]
-    cones: dict[str, Cone]  # guard_cones(guards, msc.lifelines), shared by unsliced replays
+    rows: dict[int, Row]
+    cones: dict[str, Cone]
+    states: dict[int, Coherent]
+
+    def sliced(self, cones: Mapping[str, Cone]) -> Oracle:
+        """This oracle for ``cones``, one :func:`~cplkit.lang.guard_cones`
+        result of the same guard set, with the same clocks."""
+        seen = {e: (c.clock, c.seen) for e, c in self.states.items()}
+        return self._replace(cones=cones, states=_coherent(self.msc, self.rows, cones, seen))
 
 
 def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
     """Build the oracle once for all schedules of ``m`` under ``g``."""
-    past = causal_past_sets(m)
-    counts: dict[int, dict[str, int]] = {}
-    for e in m.events:
-        counts[e] = dict.fromkeys(m.lifelines, 0)
-        for f in past[e]:
-            counts[e][m.pid[f]] += 1
-    cross = g.cross_vars
-    var_rows = {
-        e: tagged_row({x: v for x, v in m.val[e].items() if x in cross})
-        for e in m.events
+    chains, seen = {b: m.events_of(b) for b in m.lifelines}, {}
+    for e, past in causal_past_sets(m).items():
+        clock = dict.fromkeys(m.lifelines, 0)
+        for f in past:
+            clock[m.pid[f]] += 1
+        seen[e] = clock, {b: chains[b][k - 1] for b, k in clock.items() if k}
+    rows, cones = sat_table(m, g), guard_cones(g, m.lifelines)
+    return Oracle(m, g, rows, cones, _coherent(m, rows, cones, seen))
+
+
+def _coherent(m: Msc, rows, cones: Mapping[str, Cone], seen) -> dict[int, Coherent]:
+    """Per event, the state of its lifeline's monitor running ``cones``;
+    ``seen`` holds each event's clock and latest visible events."""
+    cone = next(iter(cones.values()), None)
+    view_of = rows if cone is None or cone.whole else {  # on the positions each lifeline exports
+        t: _project(rows[t], cone.exports[m.pid[t]]) for t in m.events}
+    var_of = {  # an event's value row on the variables its lifeline mirrors
+        t: {x: m.val[t][x] for x in cone.mirrors[m.pid[t]] if x in m.val[t]} for t in m.events
     }
-    return Oracle(m, g, sat_table(m, g), counts, var_rows, guard_cones(g, m.lifelines))
+    states = {}
+    for e in m.events:
+        me, prev, (clock, latest) = m.pid[e], m.last_loc(e), seen[e]
+        steps, whole = cones[me].steps, cones[me].whole
+        var = {b: var_of[t] for b, t in latest.items()}
+        pairs = [(b, x) for b, row in var.items() for x in row]
+        view = {b: view_of[t] for b, t in latest.items()}
+        before = {b: row for b, row in view.items() if b != me}
+        if prev is not None:
+            before[me] = view_of[prev]
+        states[e] = Coherent(
+            clock, latest, before, view, var,
+            ([b for b, _ in pairs], [x for _, x in pairs], [type(var[b][x]) for b, x in pairs]),
+            dict(m.val[e]), [type(v) for v in m.val[e].values()],
+            (False,) * len(steps) if prev is None else rows[prev] if whole
+            else _project(rows[prev], steps),
+            rows[e] if whole else _project(rows[e], steps),
+        )
+    return states
 
 
-def tagged_row(row: Mapping[str, Value]) -> frozenset:
-    """A value row in a form whose equality is tag-exact, so that ``True``
-    and ``1`` differ."""
-    return frozenset((x, type(v), v) for x, v in row.items())
-
-
-def _project(row: tuple[bool, ...], positions: tuple[int, ...]) -> tuple[bool, ...]:
+def _project(row: Row, positions: tuple[int, ...]) -> Row:
     """A ``sat_table`` row at ``positions``."""
     return tuple(map(row.__getitem__, positions))
 
 
-def _restrict(row: frozenset, names: frozenset[str]) -> frozenset:
-    """An oracle value row restricted to the variables ``names``."""
-    return frozenset(t for t in row if t[0] in names)
+def _same_values(row: Mapping[str, Value], want: Mapping[str, Value]) -> bool:
+    """Tag-exact equality of two value rows, so that ``True`` and ``1`` differ."""
+    return row.keys() == want.keys() and all(values_equal(row[x], v) for x, v in want.items())
 
 
 @dataclass(frozen=True)
 class CoherenceReport:
     """Outcome of the four coherence conditions, with failure details."""
 
-    conditions: dict[str, tuple[bool, str]]  # "i".."iv" -> (ok, detail)
+    conditions: Mapping[str, tuple[bool, str]]  # "i".."iv" -> (ok, detail)
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(ok for ok, _ in self.conditions.values())
 
     def failures(self) -> list[str]:
-        return [
-            f"({name}) {detail}"
-            for name, (ok, detail) in self.conditions.items()
-            if not ok
-        ]
+        return [f"({name}) {detail}" for name, (ok, detail) in self.conditions.items() if not ok]
+
+
+#: The report on a coherent state, per phase.
+_PASSED = {phase: CoherenceReport(MappingProxyType(dict.fromkeys(names, (True, ""))))
+           for phase, names in (("pre", ("i", "ii", "iii", "iv")), ("post", ("i", "ii")))}
+
+
+def _condition(bad: list[str]) -> tuple[bool, str]:
+    return not bad, "; ".join(bad)
 
 
 def check_coherence(
@@ -671,16 +698,14 @@ def check_coherence(
 ) -> CoherenceReport:
     """Does this state correctly describe the causal past of ``e``?
 
-    Every expectation is read from ``oracle`` (:func:`prepare_oracle` of
-    the chart and of ``s``'s own guard set): the chart, the ``sat_table``
-    rows, the BFS clock counts and the tag-exact value rows. Nothing is
-    recomputed here; the chart is asked only for its local chains
-    (``events_of``, ``last_loc``), never a causal query.
-
-    Rows are compared on what the state's cone holds
-    (:class:`~cplkit.lang.Cone`): a view row on its lifeline's exported
-    positions, a value row on its mirrored variables, the previous-event
-    values on the cone's own positions.
+    ``oracle`` is :func:`prepare_oracle` of the chart and of ``s``'s own
+    guard set, :meth:`~Oracle.sliced` to ``s``'s cones unless they run the
+    whole plan. It stores each event's :class:`Coherent` state, as ``s``'s
+    cone holds it, so nothing is derived here: the state is compared with
+    it whole, dict to dict and tuple to tuple (value rows and the store
+    tag-exactly), and a match returns a shared passing report. Only a
+    state that differs is walked lifeline by lifeline, against the same
+    expectations, to say which conditions fail and why.
 
     In phase ``"pre"`` the state is expected mid-update, after
     :func:`~cplkit.monitor.begin_event` for ``e`` and before
@@ -701,69 +726,51 @@ def check_coherence(
     checked, (ii) over every lifeline: the own rows must describe ``e``
     itself.
     """
-    if phase not in ("pre", "post"):
+    if phase not in _PASSED:
         raise MonitorError(f"unknown coherence phase {phase!r}")
-    gs = s.guards
-    if oracle.guards is not gs:
-        raise ScenarioError("oracle was prepared for another guard set")
-    m, rows, var_rows = oracle.msc, oracle.rows, oracle.var_rows
-    if m.pid[e] != s.me:
+    if oracle.msc.pid[e] != s.me:
         raise MonitorError(f"event {e} is not on lifeline {s.me!r}")
-    counts = oracle.counts[e]
-    cone = s.cone
-    whole, exports, mirrors = cone.whole, cone.exports, cone.mirrors
+    cone = oracle.cones[s.me]
+    if oracle.guards is not s.guards or (s.cone is not cone and s.cone != cone):
+        raise ScenarioError("oracle was prepared for another guard set or other cones")
+    want = oracle.states[e]
+    lifelines, keys, types = want.tags
+    if (
+        s.vc == want.clock
+        and s.var == want.var
+        and [*map(type, map(getitem, map(s.var.__getitem__, lifelines), keys))] == types
+        and (s.view == want.view if phase == "post" else
+             s.view == want.before and s.old == want.old and s.store == want.store
+             and [*map(type, map(s.store.__getitem__, want.store))] == want.store_tags)
+    ):
+        return _PASSED[phase]
 
-    i_bad = [] if s.vc == counts else [
-        f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
-        for b in m.lifelines
-        if s.vc.get(b, 0) != counts[b]
-    ]
-
+    counts = want.clock
+    i_bad = [f"{b}: clock {s.vc.get(b, 0)} != causal past {counts[b]}"
+             for b in counts if s.vc.get(b, 0) != counts[b]]
     ii_bad: list[str] = []
-    for b in m.lifelines:
-        k = s.vc.get(b, 0)
-        if (b == s.me and phase == "pre") or k != counts[b]:
+    for b, k in counts.items():
+        if (b == s.me and phase == "pre") or s.vc.get(b, 0) != k:
             continue  # a wrong clock is reported under (i)
-        has_view, has_var = b in s.view, b in s.var
         if k == 0:
-            if has_view or has_var:
+            if b in s.view or b in s.var:
                 ii_bad.append(f"{b}: rows present at clock 0")
-            continue
-        if not has_view or not has_var:
+        elif b not in s.view or b not in s.var:
             ii_bad.append(f"{b}: rows absent at clock {k}")
-            continue
-        target = m.events_of(b)[k - 1]
-        want = rows[target] if whole else _project(rows[target], exports[b])
-        if s.view[b] != want:
-            ii_bad.append(f"{b}: view row differs from event {target}")
-        want = var_rows[target] if whole else _restrict(var_rows[target], mirrors[b])
-        if tagged_row(s.var[b]) != want:
-            ii_bad.append(f"{b}: value row differs from event {target}")
-    conditions = {
-        "i": (not i_bad, "; ".join(i_bad)),
-        "ii": (not ii_bad, "; ".join(ii_bad)),
-    }
-    if phase == "post":
-        return CoherenceReport(conditions)
-
-    iii_bad: list[str] = []
-    nu = m.val[e]
-    for x in sorted(gs.local_vars | gs.cross_vars):
-        if not values_equal(s.store.get(x), nu.get(x)):
-            iii_bad.append(f"store[{x}] != valuation at {e}")
-    want = var_rows[e] if whole else _restrict(var_rows[e], cone.mirror)
-    if tagged_row(s.var.get(s.me, {})) != want:
-        iii_bad.append("local value row does not mirror the valuation")
-
-    prev = m.last_loc(e)
-    if prev is None:
-        expected_old = (False,) * len(cone.steps)
-    else:
-        expected_old = rows[prev] if whole else _project(rows[prev], cone.steps)
-    iv_bad = [] if s.old == expected_old else ["previous-event snapshot is wrong"]
-
-    conditions["iii"] = (not iii_bad, "; ".join(iii_bad))
-    conditions["iv"] = (not iv_bad, "; ".join(iv_bad))
+        else:
+            if s.view[b] != want.view[b]:
+                ii_bad.append(f"{b}: view row differs from event {want.seen[b]}")
+            if not _same_values(s.var[b], want.var[b]):
+                ii_bad.append(f"{b}: value row differs from event {want.seen[b]}")
+    conditions = {"i": _condition(i_bad), "ii": _condition(ii_bad)}
+    if phase == "pre":
+        iii_bad = [f"store[{x}] != valuation at {e}"
+                   for x in sorted(s.guards.local_vars | s.guards.cross_vars)
+                   if not values_equal(s.store.get(x), want.store.get(x))]
+        if not _same_values(s.var.get(s.me, {}), want.var[s.me]):
+            iii_bad.append("local value row does not mirror the valuation")
+        iv_bad = [] if s.old == want.old else ["previous-event snapshot is wrong"]
+        conditions["iii"], conditions["iv"] = _condition(iii_bad), _condition(iv_bad)
     return CoherenceReport(conditions)
 
 
@@ -838,9 +845,12 @@ def differential_check(
     without it, one is built. An empty chart checks trivially.
 
     ``owners`` maps each guard index to the lifeline that evaluates it;
-    each monitor then runs only its cone (:func:`~cplkit.lang.guard_cones`)
+    each monitor then runs only its cone (:func:`~cplkit.lang.guard_cones`),
+    checked against the oracle :meth:`~Oracle.sliced` to the cones once,
     and ``pairs_checked`` counts the values computed. Without it, every
-    monitor runs the whole plan.
+    monitor runs the whole plan. A :class:`~cplkit.monitor.MonitorError`
+    the monitor raises ends the replay, recorded at its event as the
+    invariant failure ``"monitor raised: <message>"``.
     """
     if oracle is not None and (oracle.msc is not m or oracle.guards is not g):
         raise ScenarioError("oracle was prepared for another chart or guard set")
@@ -849,47 +859,37 @@ def differential_check(
         raise ScenarioError("supplied order is not a linear extension")
     if oracle is None:
         oracle = prepare_oracle(m, g)
-    rows = oracle.rows
-
-    cones = oracle.cones if owners is None else guard_cones(g, m.lifelines, owners)
-    monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
+    if owners is not None:
+        oracle = oracle.sliced(guard_cones(g, m.lifelines, owners))
+    monitors = {b: init_monitor(b, g, m.lifelines, oracle.cones[b]) for b in m.lifelines}
     payloads: dict[int, MessagePayload] = {}
 
     for e in extension:
-        owner = m.pid[e]
-        state = monitors[owner]
+        state = monitors[m.pid[e]]
         desc = _descriptor(m, e, payloads)
-        begin_event(state, desc, mutation)
-
-        coherence = check_coherence(state, oracle, e)
-        if not coherence.ok:
-            report.coherence_failures.append(
-                {"event": e, "failures": coherence.failures()}
-            )
-            if fail_fast:
-                return report
-
-        payload = finish_event(state, desc, mutation)
+        try:  # check_coherence raises MonitorError only on misuse, not possible here
+            begin_event(state, desc, mutation)
+            coherence = check_coherence(state, oracle, e)
+            if not coherence.ok:
+                report.coherence_failures.append({"event": e, "failures": coherence.failures()})
+                if fail_fast:
+                    return report
+            payload = finish_event(state, desc, mutation)
+        except MonitorError as exc:
+            report.invariant_failures.append({"event": e, "failures": [f"monitor raised: {exc}"]})
+            return report
         if payload is not None:
             payloads[e] = payload
 
-        cone = state.cone
-        steps = cone.steps
+        steps, expected = state.cone.steps, oracle.states[e].vals
         report.events_checked += 1
         report.pairs_checked += len(steps)
-        expected = rows[e] if cone.whole else _project(rows[e], steps)
         if state.vals != expected:
-            for i, p in enumerate(steps):
-                if state.vals[i] != expected[i]:
-                    report.mismatches.append(
-                        {
-                            "event": e,
-                            "formula": pretty(g.sub[p]),
-                            "sub_index": p,
-                            "monitor": state.vals[i],
-                            "oracle": expected[i],
-                        }
-                    )
+            report.mismatches += (
+                {"event": e, "formula": pretty(g.sub[p]), "sub_index": p,
+                 "monitor": v, "oracle": w}
+                for p, v, w in zip(steps, state.vals, expected) if v != w
+            )
             if fail_fast:
                 return report
 

@@ -1,20 +1,23 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cplkit
+from cplkit import monitor, simulator
 from cplkit.cli import main
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
 from cplkit.lang import MAX_NESTING, expand_derived, guard_cones, parse_guard
-from cplkit.simulator import Scenario, load_scenario
+from cplkit.simulator import FuzzParams, Scenario, load_scenario
 
 from oracles import brute_causal_count, chart, ev, reachability, vars_of
 from scenarios import gen_scenario
@@ -409,6 +412,57 @@ def test_fuzz_mutations_exit_1(capsys):
             + summary["invariant_failure_count"]
         )
         assert total >= 1
+
+
+def adopt_rows_on_equal_clocks():
+    """``begin_event`` with the ahead-test weakened to ``>=``: a receive
+    adopts rows also where the clocks are equal, zero included."""
+    source = inspect.getsource(monitor.begin_event)
+    assert source.count("> s.vc[b]") == 1
+    namespace = dict(vars(monitor))
+    exec(source.replace("> s.vc[b]", ">= s.vc[b]"), namespace)
+    return namespace["begin_event"]
+
+
+def alias_payload_clock(s, d, mutation=None):
+    """``finish_event`` whose payload shares the sender's live clock."""
+    payload = monitor.finish_event(s, d, mutation)
+    if payload is not None:
+        payload.vc = s.vc
+    return payload
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("begin_event", adopt_rows_on_equal_clocks()),
+    ("finish_event", alias_payload_clock),
+])
+def test_fuzz_reports_a_crashing_monitor_as_a_divergence(capsys, monkeypatch, name, mutant):
+    """A MonitorError raised inside a replay is an invariant failure at its
+    event, which ends that replay; ``cplkit fuzz`` prints its report."""
+    monkeypatch.setattr(simulator, name, mutant)
+    params = FuzzParams(lifelines=4, events_per_lifeline=6, formula_count=6, seed=1)
+    report = simulator.fuzz_sweep(params, seeds=200, extensions=3, keep_going=True)
+    crashes = [f for f in report.invariant_failures
+               if f["failures"][0].startswith("monitor raised: ")]
+    assert crashes and all(len(f["failures"]) == 1 for f in crashes)
+    code, out, err = run(capsys, "fuzz", "--seeds", "200", "--seed", "1", "--keep-going")
+    summary = json.loads(out)
+    assert (code, err) == (1, "")
+    assert summary["invariant_failure_count"] == len(report.invariant_failures)
+
+    p = replace(params, seed=crashes[0]["seed"])
+    m = simulator.gen_random_msc(p)
+    g = simulator.gen_random_formulas(p, m.lifelines)
+    for k in range(50):
+        ext = simulator.sample_linear_extension(m, k)
+        replay = simulator.differential_check(m, g, ext)
+        last = replay.invariant_failures[-1:]
+        if last and last[0]["failures"][0].startswith("monitor raised: "):
+            # The replay ended at the crash: no event from there on was checked.
+            assert replay.events_checked == ext.index(last[0]["event"])
+            break
+    else:
+        raise AssertionError("no schedule of a crashing instance crashed")
 
 
 def test_fuzz_keep_going_collects_more(capsys):

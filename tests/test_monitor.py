@@ -2,13 +2,14 @@
 checker run against it."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cplkit import monitor
 from cplkit.fixtures import fixture_path
-from cplkit.lang import close_guards, expand_derived, parse_guard
+from cplkit.lang import close_guards, expand_derived, guard_cones, parse_guard
 from cplkit.monitor import (
     EventDescriptor,
     MessagePayload,
@@ -563,3 +564,162 @@ def test_unknown_coherence_phase_is_rejected():
     s = init_monitor("A", gs, LIFELINES)
     with pytest.raises(MonitorError, match="phase"):
         check_coherence(s, prepare_oracle(m, gs), 0, phase="during")
+
+
+# ---------------------------------------------------------------------- #
+# check_coherence against one perturbation at a time
+# ---------------------------------------------------------------------- #
+
+def coherent_states(owned):
+    """``(oracle, event, phase, state)`` for both phases of every event of
+    correct replays of small generated instances, whole or (``owned``) with
+    guard ``k`` owned by lifeline ``k mod n``. Each state is a copy sharing
+    only the guard set, the cone and the (immutable) view rows."""
+    for seed in range(100):
+        p = FuzzParams(lifelines=3, events_per_lifeline=5, seed=seed)
+        m = gen_random_msc(p)
+        g = gen_random_formulas(p, m.lifelines)
+        owners = {k: m.lifelines[k % 3] for k in range(len(g.formulas))} if owned else None
+        oracle = prepare_oracle(m, g)
+        if owned:
+            oracle = oracle.sliced(guard_cones(g, m.lifelines, owners))
+        cones = oracle.cones
+        monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
+        payloads = {}
+        for e in sample_linear_extension(m, seed):
+            state = monitors[m.pid[e]]
+            incoming = payloads[m.matching_send(e)] if m.kind[e].tag == "recv" else None
+            d = EventDescriptor(kind=m.kind[e], store_after=m.val[e], incoming=incoming)
+            begin_event(state, d)
+            yield oracle, e, "pre", copy_state(state)
+            payloads[e] = finish_event(state, d)
+            yield oracle, e, "post", copy_state(state)
+
+
+def copy_state(s):
+    return replace(
+        s, vc=dict(s.vc), view=dict(s.view), store=dict(s.store),
+        var={b: dict(row) for b, row in s.var.items()},
+    )
+
+
+def flip_first(row):
+    return (not row[0], *row[1:])
+
+
+def other_seen(s, want):
+    """A lifeline other than ``s.me``, with a positive clock, that ``want`` accepts."""
+    return next((b for b in s.lifelines if b != s.me and s.vc[b] and want(b)), None)
+
+
+def perturb_clock(s, phase):
+    s.vc[next(b for b in s.lifelines if b != s.me)] += 1
+    return True
+
+
+def perturb_view_bit(s, phase):
+    b = other_seen(s, lambda b: len(s.view[b]) > 0)
+    if b is not None:
+        s.view[b] = flip_first(s.view[b])
+    return b is not None
+
+
+def true_for_one(row):
+    """Replace the first ``True`` in this value row by ``1``."""
+    x = next((x for x, v in row.items() if v is True), None)
+    if x is not None:
+        row[x] = 1
+    return x is not None
+
+
+def perturb_true_for_one(s, phase):
+    b = other_seen(s, lambda b: any(v is True for v in s.var[b].values()))
+    return b is not None and true_for_one(s.var[b])
+
+
+def perturb_own_true_for_one(s, phase):
+    return true_for_one(s.var[s.me])
+
+
+def perturb_store(s, phase):
+    monitored = s.guards.local_vars | s.guards.cross_vars
+    x = next((x for x in sorted(s.store) if x in monitored), None)
+    if phase == "pre" and x is not None:
+        s.store[x] = 1 if s.store[x] is True else "changed"
+    return phase == "pre" and x is not None
+
+
+def perturb_old_bit(s, phase):
+    if phase == "pre" and s.old:
+        s.old = flip_first(s.old)
+    return phase == "pre" and bool(s.old)
+
+
+def perturb_row_at_clock_zero(s, phase):
+    b = next((b for b in s.lifelines if s.vc[b] == 0), None)
+    if b is not None:
+        s.view[b], s.var[b] = (), {}
+    return b is not None
+
+
+def perturb_own_row(s, phase):
+    if len(s.view.get(s.me, ())) > 0:
+        s.view[s.me] = flip_first(s.view[s.me])
+        return True
+    return False
+
+
+PERTURBATIONS = {
+    "clock": perturb_clock,
+    "view bit": perturb_view_bit,
+    "true for 1": perturb_true_for_one,
+    "own true for 1": perturb_own_true_for_one,
+    "store": perturb_store,
+    "old bit": perturb_old_bit,
+    "row at clock 0": perturb_row_at_clock_zero,
+    "own row": perturb_own_row,
+}
+
+#: The failures each perturbation gives on the first state it applies to,
+#: by perturbation and phase, for whole cones; none where it must pass.
+PERTURBED = {
+    ("clock", "pre"): ["(i) L1: clock 1 != causal past 0"],
+    ("clock", "post"): ["(i) L1: clock 1 != causal past 0"],
+    ("view bit", "pre"): ["(ii) L1: view row differs from event 0"],
+    ("view bit", "post"): ["(ii) L1: view row differs from event 0"],
+    ("true for 1", "pre"): ["(ii) L1: value row differs from event 5"],
+    ("true for 1", "post"): ["(ii) L1: value row differs from event 5"],
+    ("own true for 1", "pre"): ["(iii) local value row does not mirror the valuation"],
+    ("own true for 1", "post"): ["(ii) L1: value row differs from event 2"],
+    ("store", "pre"): ["(iii) store[x0] != valuation at 1"],
+    ("old bit", "pre"): ["(iv) previous-event snapshot is wrong"],
+    ("row at clock 0", "pre"): ["(ii) L1: rows present at clock 0"],
+    ("row at clock 0", "post"): ["(ii) L1: rows present at clock 0"],
+    ("own row", "pre"): [],  # phase "pre" ignores the own view row
+    ("own row", "post"): ["(ii) L3: view row differs from event 1"],
+}
+#: With sliced cones, the first remote view row that is not empty comes later.
+PERTURBED_SLICED = {
+    **PERTURBED,
+    ("view bit", "pre"): ["(ii) L3: view row differs from event 1"],
+    ("view bit", "post"): ["(ii) L3: view row differs from event 1"],
+}
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["whole", "sliced"])
+def test_each_perturbation_fails_exactly_its_own_condition(owned):
+    """Coherent states pass, and a state with one thing changed fails
+    exactly the condition that covers it, with the same details as before
+    the checker compared whole states."""
+    found = {}
+    for oracle, e, phase, s in coherent_states(owned):
+        assert check_coherence(s, oracle, e, phase).ok, (e, phase)
+        for name, perturb in PERTURBATIONS.items():
+            if (name, phase) in found:
+                continue
+            t = copy_state(s)
+            if perturb(t, phase):
+                found[name, phase] = check_coherence(t, oracle, e, phase).failures()
+        if len(found) == len(PERTURBED):
+            break
+    assert found == (PERTURBED_SLICED if owned else PERTURBED)

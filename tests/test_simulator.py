@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import json
 import time
 
@@ -629,6 +630,21 @@ def test_fuzz_sweep_aggregates_and_replays():
         s2.events_checked,
         s2.pairs_checked,
     )
+
+
+def test_fuzz_instance_leaves_no_cyclic_garbage():
+    """Generation and checking free everything by reference counting: the
+    cyclic collector finds nothing after an instance, mutated or not."""
+    params = FuzzParams(lifelines=5, events_per_lifeline=8, formula_count=10,
+                        formula_depth=4, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in (None, *MUTATIONS):
+            simulator.fuzz_instance(params, 5, mode, fail_fast=False)
+            assert gc.collect() == 0, mode
+    finally:
+        gc.enable()
 
 
 def test_differential_check_is_one_run_and_reports_fold():
