@@ -24,6 +24,7 @@ are the per-event reference the table is tested against.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 
 from .lang import (
     COMPARISONS,
@@ -75,98 +76,94 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
     """Truth of every guard-set subformula at every event.
 
     Runs the guard set's plan column by column, one list per subformula
-    indexed by position in ``m.events``. Navigation is columns too, each
-    built once per call: ``chains`` (each lifeline's positions in local
-    order), ``prev`` (the local predecessor's position) and, per
-    lifeline ``B``, ``visible[B]`` (the latest visible ``B``-event's
-    position), all ``None`` where there is no such event. Every distinct
-    term gets one value column, shared by the atoms that read it.
-    Returns one row per event, aligned with ``gs.sub``.
+    indexed by position in ``m.events``, plus a sentinel cell at position
+    ``n = len(m.events)`` that is always false (``None`` in a term column).
+    Navigation is columns too, each built once per call: ``chains`` (each
+    lifeline's positions in local order), ``prev`` (the local predecessor)
+    and, per lifeline ``B``, ``visible[B]`` (the latest visible
+    ``B``-event): positions, ``n`` where there is no such event and at
+    ``n`` itself, kept as ``itemgetter`` gathers, so a ``Y``, ``at`` or
+    ``At[B].x`` column is one gather of its child's column. Every distinct
+    term gets one value column, shared by the atoms that read it. Returns
+    one row per event, aligned with ``gs.sub``.
     """
     events = m.events
     n = len(events)
+    if not n:
+        return {}  # a gather of one position would give a scalar
     pos = {e: k for k, e in enumerate(events)}
-    chains: list[list[int]] = []
-    prev: list[int | None] = []
-    visible: dict[str, list[int | None]] = {}
-    terms: dict[LocalVar | AtField, list[Value | None]] = {}
-    cols: list[list[bool]] = []
+    chains = [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
+    nav = [n] * (n + 1)
+    for chain in chains:
+        for k, j in zip(chain, chain[1:]):
+            nav[j] = k
+    prev = itemgetter(*nav)
+    visible: dict[str, itemgetter] = {}
+    terms: dict[LocalVar | AtField, list[Value | None] | tuple[Value | None, ...]] = {}
+    cols: list[list[bool] | tuple[bool, ...]] = []
     for op, a, b in gs.plan:
         if op == "atom":
             left, right = (
-                repeat(x.value, n)
+                repeat(x.value, n + 1)
                 if isinstance(x, Lit)
                 else _term_column(m, x, pos, terms, visible)
                 for x in (a.left, a.right)
             )
             col = list(map(COMPARISONS[a.op], left, right))
+            col[n] = False  # a hand-built atom may compare two literals
         elif op == "and":
             col = [x and y for x, y in zip(cols[a], cols[b])]
         elif op == "or":
             col = [x or y for x, y in zip(cols[a], cols[b])]
         elif op == "not":
             col = [not x for x in cols[a]]
+            col[n] = False
         elif op == "Y":
-            chains = chains or [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
-            if not prev:
-                prev = [None] * n
-                for chain in chains:
-                    for k, j in zip(chain, chain[1:]):
-                        prev[j] = k
-            sub = cols[a]
-            col = [k is not None and sub[k] for k in prev]
+            col = prev(cols[a])
         elif op == "at":
-            sub = cols[a]
-            col = [k is not None and sub[k] for k in _visible_column(m, b, pos, visible)]
+            col = _visible(m, b, pos, visible)(cols[a])
         elif op == "S":
-            chains = chains or [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
             first, second = cols[a], cols[b]
-            col = [False] * n
+            col = [False] * (n + 1)
             for chain in chains:
                 cur = False
                 for k in chain:
                     cur = col[k] = second[k] or (first[k] and cur)
         else:  # "true"
-            col = [True] * n
+            col = [True] * n + [False]
         cols.append(col)
-    if not cols:
-        return {e: () for e in events}
-    return dict(zip(events, zip(*cols)))
+    return dict(zip(events, zip(*cols))) if cols else dict.fromkeys(events, ())
 
 
-def _visible_column(
-    m: Msc, b: str, pos: dict[int, int], cache: dict[str, list[int | None]]
-) -> list[int | None]:
-    """Per position, the position of the latest ``b``-event visible there
-    (None when there is none), read off ``b``'s chain by timestamp."""
-    col = cache.get(b)
-    if col is None:
-        chain = [None, *(pos[e] for e in m.events_of(b))]
-        col = cache[b] = [chain[k] for k in m.timestamp_column(b)]
-    return col
+def _visible(m: Msc, b: str, pos: dict[int, int], cache: dict[str, itemgetter]) -> itemgetter:
+    """The gather of a column at the latest ``b``-event visible at each
+    position (``n`` if none, and at ``n``), read off ``b``'s chain by timestamp."""
+    get = cache.get(b)
+    if get is None:
+        chain = [len(pos), *(pos[e] for e in m.events_of(b))]
+        get = cache[b] = itemgetter(*itemgetter(*m.timestamp_column(b), 0)(chain))
+    return get
 
 
 def _term_column(
     m: Msc,
     t: LocalVar | AtField,
     pos: dict[int, int],
-    cache: dict[LocalVar | AtField, list[Value | None]],
-    visible: dict[str, list[int | None]],
-) -> list[Value | None]:
-    """Per position, the value of term ``t`` (None when undefined):
-    ``x`` from each valuation, ``At[B].x`` as ``x``'s column read at
-    ``visible[B]``."""
+    cache: dict[LocalVar | AtField, list[Value | None] | tuple[Value | None, ...]],
+    visible: dict[str, itemgetter],
+) -> list[Value | None] | tuple[Value | None, ...]:
+    """Per position, the value of term ``t`` (None when undefined, and at
+    the sentinel): ``x`` from each valuation, ``At[B].x`` as ``x``'s
+    column gathered by ``visible[B]``."""
     col = cache.get(t)
     if col is None:
         if isinstance(t, LocalVar):
             val = m.val
             col = [val[e].get(t.name) for e in m.events]
+            col.append(None)
         else:
             local = _term_column(m, LocalVar(t.name), pos, cache, visible)
-            col = [
-                None if k is None else local[k]
-                for k in _visible_column(m, t.lifeline, pos, visible)
-            ]
+            col = _visible(m, t.lifeline, pos, visible)(local)
         cache[t] = col
     return col
 

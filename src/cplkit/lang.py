@@ -32,7 +32,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .msc import INT64_MAX, INT64_MIN, Value
 
@@ -199,66 +199,46 @@ _KEYWORDS = {"Y", "S", "at", "P", "seen", "true", "false", "Here", "At"}
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<int>-?\d+)
+    \s*(?:
+      (?P<int>-?\d+)
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>==|!=|<=|>=|&&|\|\||[!<>()\[\],.])
-    """,
+    | (?P<bad>\S)
+    | (?P<end>\Z)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int | string | ident | op | end
+class _Token(NamedTuple):
+    kind: str  # int | string | ident | op | bad | end
     text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        piece = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, piece, line, col))
-        newlines = piece.count("\n")
-        if newlines:
-            line += newlines
-            col = len(piece) - piece.rfind("\n")
-        else:
-            col += len(piece)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+    start: int  # offset in the guard text
 
 
 class _Parser:
     def __init__(self, text: str, lifelines: frozenset[str]):
-        self.tokens = _tokenize(text)
+        # Every match is a token or the end (twice after trailing whitespace).
+        self.text = text
+        self.tokens = [
+            _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in _TOKEN_RE.finditer(text)
+        ]
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                raise self.fail(f"unexpected character {tok.text!r}", tok)
         self.pos = 0
+        self.cur = self.tokens[0]
         self.lifelines = lifelines
         self.depth = 0  # levels open above the current token
 
     # -- token plumbing -------------------------------------------------
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def peek(self, offset: int = 1) -> _Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
-
     def advance(self) -> _Token:
         tok = self.cur
         self.pos += 1
+        self.cur = self.tokens[self.pos]
         return tok
 
     def expect(self, text: str) -> _Token:
@@ -266,8 +246,12 @@ class _Parser:
             raise self.fail(f"expected {text!r}")
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
+    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
+        """A :class:`ParseError` at ``tok`` (default: the current token);
+        its line and column are counted only now."""
+        start, text = (tok or self.cur).start, self.text
+        line = text.count("\n", 0, start) + 1
+        return ParseError(message, line, start - text.rfind("\n", 0, start))
 
     def lifeline(self) -> str:
         tok = self.cur
@@ -304,7 +288,7 @@ class _Parser:
         return height
 
     def too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(f"guard nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        return self.fail(f"guard nested deeper than {MAX_NESTING} levels", tok)
 
     # -- grammar ---------------------------------------------------------
     # Each rule returns its formula and the formula's height in levels.
@@ -385,7 +369,8 @@ class _Parser:
                 lf = self.lifeline()
                 self.expect(")")
                 return Seen(lf), 0
-            if tok.text in ("true", "false") and not self._starts_comparison(1):
+            # A literal starts an atom when a comparison follows (an end follows any ident).
+            if tok.text in ("true", "false") and self.tokens[self.pos + 1].text not in COMPARISONS:
                 self.advance()
                 if tok.text == "true":
                     return Truth(), 0
@@ -393,9 +378,6 @@ class _Parser:
         if tok.kind in ("int", "string", "ident"):
             return self.atom(), 0
         raise self.fail(f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input")
-
-    def _starts_comparison(self, offset: int) -> bool:
-        return self.peek(offset).text in COMPARISONS
 
     def atom(self) -> Formula:
         start = self.cur
@@ -406,10 +388,8 @@ class _Parser:
         self.advance()
         right = self.operand()
         if isinstance(left, Lit) and isinstance(right, Lit):
-            raise ParseError(
-                "at least one side of a comparison must be a variable term",
-                start.line,
-                start.col,
+            raise self.fail(
+                "at least one side of a comparison must be a variable term", start
             )
         return Atom(op_tok.text, left, right)
 
@@ -424,7 +404,10 @@ class _Parser:
             return Lit(int(tok.text))
         if tok.kind == "string":
             self.advance()
-            return Lit(_unquote(tok.text, tok))
+            try:
+                return Lit(json.loads(tok.text))
+            except json.JSONDecodeError:
+                raise self.fail("bad string literal", tok) from None
         if tok.kind == "ident":
             if tok.text == "true" or tok.text == "false":
                 self.advance()
@@ -445,13 +428,6 @@ class _Parser:
             self.advance()
             return LocalVar(tok.text)
         raise self.fail("expected a term or literal")
-
-
-def _unquote(text: str, tok: _Token) -> str:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise ParseError("bad string literal", tok.line, tok.col) from None
 
 
 def parse_guard(text: str, lifelines: set[str] | frozenset[str]) -> Formula:

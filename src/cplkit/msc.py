@@ -6,12 +6,14 @@ send/receive pairs add cross-lifeline edges. The causal order ``<=_M`` is
 the reflexive transitive closure of both edge kinds, and is a partial
 order whenever the chart is well-formed.
 
-Charts are immutable after validation; every query here is read-only and
-safe to call from any number of threads. Causal queries are answered from
-per-event vector timestamps computed once per chart: component ``B`` of an
-event's timestamp counts the ``B``-events in its causal past (including
-the event itself on its own lifeline), so ``e <=_M f`` reduces to one
-integer comparison.
+Every query here is read-only. Only a scenario's chart is immutable and
+safe to query from any thread: its tables are read-only views, analysed by
+the walk that validates it. A chart from ``load_trace`` or ``gen_random_msc``
+holds plain dicts that callers must not edit, and is analysed on its first
+causal query. Causal queries read per-event vector timestamps computed once
+per chart: component ``B`` of an event's timestamp counts the ``B``-events
+in its causal past (including the event itself on its own lifeline), so
+``e <=_M f`` reduces to one integer comparison.
 """
 
 from __future__ import annotations
@@ -249,28 +251,11 @@ class Msc:
         chains, broken = local_chains(self)
         if broken:
             raise MscError(f"lifeline {broken[0]!r} is not a single chain")
-        by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
-        local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
-        msg_rev = {r: s for s, r in self.msg.items()}
         order = topological_order(self)
         if len(order) != len(self.events):
             raise MscError("event graph is cyclic")
-
-        vts: dict[int, dict[str, int]] = {}
-        for e in order:
-            k = local_idx[e]
-            ts = dict(vts[by_lifeline[self.pid[e]][k - 2]]) if k > 1 else {}
-            if self.kind[e].tag == "recv" and e in msg_rev:
-                for b, n in vts[msg_rev[e]].items():
-                    if n > ts.get(b, 0):
-                        ts[b] = n
-            ts[self.pid[e]] = k
-            vts[e] = ts
-
-        self._by_lifeline = by_lifeline
-        self._local_idx = local_idx
-        self._msg_rev = msg_rev
-        self._vts = vts
+        for name, table in _analysis(self, chains, order).items():
+            setattr(self, name, table)
 
 
 # ---------------------------------------------------------------------- #
@@ -302,6 +287,25 @@ def local_chains(m: Msc) -> tuple[dict[str, list[int]], list[str]]:
             broken.append(b)
         chains[b] = chain
     return chains, broken
+
+
+def _analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> dict:
+    """The causal-query tables of a chart with single ``chains`` and a complete
+    topological ``order``, keyed by the :class:`Msc` fields they fill, ``_vts`` last."""
+    by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
+    local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
+    msg_rev = {r: s for s, r in m.msg.items()}
+    vts: dict[int, dict[str, int]] = {}
+    for e in order:
+        k = local_idx[e]
+        ts = dict(vts[by_lifeline[m.pid[e]][k - 2]]) if k > 1 else {}
+        if m.kind[e].tag == "recv" and e in msg_rev:
+            for b, n in vts[msg_rev[e]].items():
+                if n > ts.get(b, 0):
+                    ts[b] = n
+        ts[m.pid[e]] = k
+        vts[e] = ts
+    return {"_by_lifeline": by_lifeline, "_local_idx": local_idx, "_msg_rev": msg_rev, "_vts": vts}
 
 
 def topological_order(m: Msc, pick=None) -> list[int]:
@@ -343,7 +347,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class MscReport:
+    """The violations, and the causal-query tables when :func:`validate_msc` built them."""
+
     violations: tuple[Violation, ...]
+    analysis: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -360,6 +367,9 @@ def validate_msc(m: Msc) -> MscReport:
           lifelines, with the send kind naming the receiver; every receive
           has exactly one matching send,
     (iv)  the graph of successor and message edges is acyclic.
+
+    When (iv) and the chain part of (ii) hold, the same walk builds the
+    causal-query tables into the report; ``m``, whose dicts may still change, caches nothing.
     """
     bad: list[Violation] = []
 
@@ -377,7 +387,8 @@ def validate_msc(m: Msc) -> MscReport:
     for e, n in sorted(preds.items()):
         if n > 1:
             bad.append(Violation("ii", "event has two local predecessors", (e,)))
-    for b in local_chains(m)[1]:
+    chains, broken = local_chains(m)
+    for b in broken:
         bad.append(
             Violation(
                 "ii",
@@ -410,7 +421,9 @@ def validate_msc(m: Msc) -> MscReport:
         if m.kind[e].tag == "recv" and e not in recv_matches:
             bad.append(Violation("iii", "receive event has no matching send", (e,)))
 
-    if len(topological_order(m)) != len(m.events):
+    order = topological_order(m)
+    if len(order) != len(m.events):
         bad.append(Violation("iv", "successor/message graph is cyclic"))
-
+    elif not broken:
+        return MscReport(tuple(bad), _analysis(m, chains, order))
     return MscReport(tuple(bad))

@@ -104,10 +104,10 @@ class Scenario:
     when the guard takes that arm. Arms may send but not receive. Building
     a scenario checks the chart and every arm (:class:`ScenarioError`); it
     is read-only, so a changed scenario is a new one (``dataclasses.replace``).
-    It holds its own copy of the chart whose tables and valuations are
-    read-only views, so an edit fails where it is made instead of being
-    replayed unchecked. Guards are parsed and closed once, on first use,
-    together with the lifelines' cones.
+    It holds its own copy of the chart, whose tables and valuations are
+    read-only views (so an edit fails where it is made instead of being
+    replayed unchecked) and whose analysis the validating walk built.
+    Guards are parsed and closed once, on first use, with the cones.
     """
 
     msc: Msc
@@ -129,6 +129,7 @@ class Scenario:
             val=MappingProxyType({e: MappingProxyType(dict(v)) for e, v in m.val.items()}),
             succ=MappingProxyType(dict(m.succ)),
             msg=MappingProxyType(dict(m.msg)),
+            **report.analysis,
         ))
         arms = {c: (tuple(a), tuple(b)) for c, (a, b) in self.branches.items()}
         object.__setattr__(self, "guard_texts", MappingProxyType(dict(self.guard_texts)))
@@ -805,6 +806,10 @@ class DifferentialReport:
             getattr(self, name).extend({**tags, **r} for r in getattr(other, name))
 
     def to_dict(self) -> dict:
+        """The counts, the first 20 failures of each kind and, past those,
+        every ``monitor raised`` record (a replay has at most one)."""
+        crashes = [r for r in self.invariant_failures[20:]
+                   if r["failures"][0].startswith("monitor raised: ")]
         return {
             "instances": self.instances,
             "runs": self.runs,
@@ -815,7 +820,7 @@ class DifferentialReport:
             "invariant_failure_count": len(self.invariant_failures),
             "mismatches": self.mismatches[:20],
             "coherence_failures": self.coherence_failures[:20],
-            "invariant_failures": self.invariant_failures[:20],
+            "invariant_failures": self.invariant_failures[:20] + crashes,
             "elapsed_seconds": round(self.elapsed, 3),
             "ok": self.ok,
         }

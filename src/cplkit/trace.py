@@ -21,12 +21,16 @@ tagged objects with exactly one of ``int`` (signed 64-bit), ``str``, or
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from .msc import EVENT_TAGS, INT64_MAX, INT64_MIN, EventKind, Msc, Valuation, Value
 
 _TRACE_KEYS = {"lifelines", "events", "succ", "messages"}
 _EVENT_KEYS = {"id", "lifeline", "kind", "receiver", "vars"}
+_TAG_TYPES = {"int": int, "str": str, "bool": bool}
+#: One shared, frozen kind per ``(tag, receiver)``.
+_event_kind = lru_cache(maxsize=256)(EventKind)
 
 
 class TraceFormatError(Exception):
@@ -74,6 +78,12 @@ def decode_valuation(obj: object, where: str) -> Valuation:
         raise TraceFormatError(f"{where}: vars must be an object")
     out: Valuation = {}
     for name, raw in obj.items():
+        # Fast path for a well-formed entry; anything else takes the checks below.
+        if type(raw) is dict and len(raw) == 1 and type(name) is str and name:
+            (tag, v), = raw.items()
+            if type(v) is _TAG_TYPES.get(tag) and (tag != "int" or INT64_MIN <= v <= INT64_MAX):
+                out[name] = v
+                continue
         if not isinstance(name, str) or not name:
             raise TraceFormatError(f"{where}: bad variable name {name!r}")
         try:
@@ -90,9 +100,8 @@ def decode_event(
     valuation. A send must name a declared lifeline other than its own."""
     if not isinstance(ev, dict):
         raise TraceFormatError(f"{where}: must be an object")
-    unknown = set(ev) - _EVENT_KEYS
-    if unknown:
-        raise TraceFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    if not ev.keys() <= _EVENT_KEYS:
+        raise TraceFormatError(f"{where}: unknown keys {sorted(set(ev) - _EVENT_KEYS)}")
     for key in ("id", "lifeline", "kind", "vars"):
         if key not in ev:
             raise TraceFormatError(f"{where}: missing key {key!r}")
@@ -110,7 +119,7 @@ def decode_event(
             )
     elif receiver is not None:
         raise TraceFormatError(f"{where}: receiver only allowed on send events")
-    return eid, b, EventKind(tag, receiver), decode_valuation(ev["vars"], where)
+    return eid, b, _event_kind(tag, receiver), decode_valuation(ev["vars"], where)
 
 
 def parse_trace(data: object) -> Msc:
@@ -167,7 +176,7 @@ def _decode_pairs(obj: object, name: str, ids: set[int]) -> dict[int, int]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or any(type(x) is not int for x in pair)
+            or type(pair[0]) is not int or type(pair[1]) is not int
         ):
             raise TraceFormatError(f"{name}[{i}]: must be a pair of event ids")
         src, dst = pair

@@ -449,6 +449,10 @@ def test_fuzz_reports_a_crashing_monitor_as_a_divergence(capsys, monkeypatch, na
     summary = json.loads(out)
     assert (code, err) == (1, "")
     assert summary["invariant_failure_count"] == len(report.invariant_failures)
+    # Every crash is printed, also past the first 20 failures.
+    assert summary["invariant_failures"][:20] == report.invariant_failures[:20]
+    assert [f for f in summary["invariant_failures"]
+            if f["failures"][0].startswith("monitor raised: ")] == crashes
 
     p = replace(params, seed=crashes[0]["seed"])
     m = simulator.gen_random_msc(p)

@@ -134,6 +134,20 @@ def test_validator_agrees_with_brute_force_on_random_charts():
         assert all((e, e) in closure for e in m.events)
 
 
+def test_a_scenario_chart_is_walked_once():
+    """Validation's walk becomes the scenario chart's analysis: loading a
+    scenario and asking the first causal query runs each chart pass once.
+    On a chart of plain dicts, validation caches nothing."""
+    with mock.patch("cplkit.msc.local_chains", wraps=local_chains) as chains, \
+            mock.patch("cplkit.msc.topological_order", wraps=topological_order) as order:
+        m = load_scenario(fixture_path("merge_review")).msc
+        assert m.causal_leq(m.events[0], m.events[0])
+    assert (chains.call_count, order.call_count) == (1, 1)
+    plain = load_trace(dump_trace(m))
+    assert validate_msc(plain).ok and plain._vts is None
+    assert chart_answers(plain) == chart_answers(m)
+
+
 # ---------------------------------------------------------------------- #
 # causal_leq
 # ---------------------------------------------------------------------- #
