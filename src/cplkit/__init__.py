@@ -7,7 +7,7 @@ latest-value views on messages, and differentially verifies that the two
 agree at every event.
 """
 
-from .denot import eval_atom, eval_term, sat, sat_table
+from .denot import sat, sat_table
 from .lang import (
     Cone,
     Formula,
@@ -75,8 +75,6 @@ __all__ = [
     "close_guards",
     "differential_check",
     "dump_trace",
-    "eval_atom",
-    "eval_term",
     "expand_derived",
     "fuzz_sweep",
     "gen_random_formulas",

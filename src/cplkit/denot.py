@@ -17,8 +17,7 @@ lifeline's chain, the local predecessor and, per lifeline ``B``, the
 latest visible ``B``-event, as positions in ``m.events``) and one value
 column per distinct term, shared by every atom that reads it. A full
 chart costs O(|events| * (|subformulas| + |terms| + |lifelines|)), and
-no cell goes through a per-event lookup. ``eval_term`` and ``eval_atom``
-are the per-event reference the table is tested against.
+no cell goes through a per-event lookup.
 """
 
 from __future__ import annotations
@@ -26,35 +25,8 @@ from __future__ import annotations
 from itertools import repeat
 from operator import itemgetter
 
-from .lang import (
-    COMPARISONS,
-    Atom,
-    AtField,
-    Formula,
-    GuardSet,
-    Lit,
-    LocalVar,
-    Operand,
-    close_guards,
-)
+from .lang import COMPARISONS, AtField, Formula, GuardSet, Lit, LocalVar, close_guards
 from .msc import Msc, Value
-
-
-def eval_term(m: Msc, e: int, t: LocalVar | AtField) -> Value | None:
-    """Value of a term at an event, or None when undefined."""
-    m._check_event(e)
-    if isinstance(t, LocalVar):
-        return m.val[e].get(t.name)
-    lv = m.last_visible(e, t.lifeline)
-    if lv is None:
-        return None
-    return m.val[lv].get(t.name)
-
-
-def _operand_value(m: Msc, e: int, x: Operand) -> Value | None:
-    if isinstance(x, Lit):
-        return x.value
-    return eval_term(m, e, x)
 
 
 def compare_values(op: str, a: Value | None, b: Value | None) -> bool:
@@ -63,13 +35,6 @@ def compare_values(op: str, a: Value | None, b: Value | None) -> bool:
     if op not in COMPARISONS:
         raise ValueError(f"unknown comparison {op!r}")
     return COMPARISONS[op](a, b)
-
-
-def eval_atom(m: Msc, e: int, a: Atom) -> bool:
-    m._check_event(e)
-    return compare_values(
-        a.op, _operand_value(m, e, a.left), _operand_value(m, e, a.right)
-    )
 
 
 def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:

@@ -14,11 +14,11 @@ set.
 
 Processing one event runs in two phases:
 
-  1. ``begin_event`` — on a receive, adopt the view/value rows of every
-     lifeline the message is strictly ahead on, then join the clocks;
-     keep the previous event's values; tick the local clock component;
-     install the post-event store and mirror the cone's variables into
-     the local value row.
+  1. ``begin_event`` — on a receive, adopt the rows and clock components
+     of every lifeline the message is strictly ahead on (the only
+     components the clock join changes); keep the previous event's
+     values; tick the local clock component; install the post-event
+     store and mirror the cone's variables into the local value row.
   2. ``finish_event`` — one pass over the cone's plan, children before
      parents: each step appends its value to the current row, reading
      child values from that row, ``Y``/``S`` history from the previous
@@ -27,10 +27,10 @@ Processing one event runs in two phases:
      row and (on a send) a payload is emitted: copies of the clock and of
      the row tables, sharing the rows.
 
-The copy-then-join order in phase 1 matters: joining first would destroy
-the "is the sender ahead?" test. ``mutation`` arguments deliberately break
-one such detail each, to prove the differential harness notices; see
-:data:`MUTATIONS`.
+The "is the sender ahead?" test in phase 1 must read the receiver's
+clock before the merge changes it: joining first would make it never
+fire. ``mutation`` arguments deliberately break one such detail each, to
+prove the differential harness notices; see :data:`MUTATIONS`.
 
 View rows are tuples, value rows are small dicts; a row for lifeline
 ``B`` exists exactly when the clock component for ``B`` is positive.
@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .lang import Cone, GuardSet, guard_cones
 from .msc import EventKind, Valuation, Value
@@ -229,17 +230,20 @@ def begin_event(
                 )
         for b in ahead:
             # The sender is strictly ahead on b: adopt its rows wholesale
-            # (entries the sender lacks must disappear here too).
+            # (entries the sender lacks must disappear here too) and its
+            # clock component, the only ones the join changes.
+            s.vc[b] = mu.vc[b]
             s.view[b] = mu.view[b]
             s.var[b] = mu.var.get(b, {})
-        for b in s.lifelines:
-            s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
 
     if s.vals is not None:
         s.old = s.vals
 
     s.vc[s.me] += 1
-    s.store = dict(d.store_after)
+    store = d.store_after
+    # A scenario chart's valuations are read-only views, which dict()
+    # copies key by key; their own copy() is one call.
+    s.store = store.copy() if type(store) is MappingProxyType else dict(store)
     s.var[s.me] = {x: s.store[x] for x in s.cone.mirror if x in s.store}
 
 
@@ -276,13 +280,12 @@ def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
 
 def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
     """Values of every step of the cone's plan. Child values come from
-    the list being built; ``Y`` and ``S`` read ``s.old``, which is
-    meaningless at the first local event, hence the ``later`` guard."""
-    me, vc, view, old = s.me, s.vc, s.view, s.old
-    later = vc[me] > 1
+    the list being built; ``Y`` and ``S`` read ``s.old``, which is all
+    false at the first local event."""
+    me, view, old = s.me, s.view, s.old
     strict_at = mutation == "strict-at"
     vals: list[bool] = []
-    y_row = vals if mutation == "live-old" else old
+    y_row = vals if mutation == "live-old" and s.vc[me] > 1 else old
     push = vals.append
     steps, literals, reads = s.cone.program
     src = [literals, s.store, *[s.var.get(b, {}) for b in reads]]
@@ -297,20 +300,18 @@ def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
         elif op == "not":
             v = not vals[a]
         elif op == "S":  # old[len(vals)] is this step's previous value
-            v = vals[b] or (vals[a] and later and old[len(vals)])
+            v = vals[b] or (vals[a] and old[len(vals)])
         elif op == "at":
             if b == me:
-                v = (later and old[a]) if strict_at else vals[a]
-            elif vc.get(b, 0) == 0:
-                v = False
+                v = old[a] if strict_at else vals[a]
             else:
+                # A row exists exactly when b's clock is positive; a mutated
+                # monitor can get here with no row at a positive clock,
+                # which must surface as a wrong verdict rather than a crash.
                 row = view.get(b)
-                # Row presence follows the clock in every reachable state;
-                # a mutated monitor can get here with no row, which must
-                # surface as a wrong verdict rather than a crash.
                 v = row is not None and row[a]
         elif op == "Y":
-            v = later and y_row[a]
+            v = y_row[a]
         else:  # "true"
             v = True
         push(v)

@@ -19,6 +19,7 @@ in its causal past (including the event itself on its own lifeline), so
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 #: Stored values are plain tagged scalars. Tags never coerce: an integer 1
@@ -190,44 +191,59 @@ class Msc:
         self, owner: str, events: list[tuple[int, EventKind, Valuation]]
     ) -> "Msc":
         """A new chart: this one with ``events``, given as ``(id, kind,
-        valuation)``, chained in order after ``owner``'s last event.
+        valuation)``, chained in order after ``owner``'s last event; the
+        one-arm call of :meth:`grow`. This chart is unchanged."""
+        return self.grow([(owner, events)])
+
+    def grow(
+        self, arms: Sequence[tuple[str, Sequence[tuple[int, EventKind, Valuation]]]]
+    ) -> "Msc":
+        """A new chart: this one with each ``(owner, events)`` arm
+        appended in turn, its events given as ``(id, kind, valuation)``
+        and chained in order after ``owner``'s last event so far. New
+        events follow this chart's in ``events``, in arm order.
 
         Receives cannot be appended (their send would be missing), so the
-        new events see nothing beyond ``owner``'s past and the analysis
-        carries over: ``owner``'s chain, local indices and timestamps are
+        new events see nothing beyond their owner's past and the analysis
+        carries over: each owner's chain, local indices and timestamps are
         extended, every other table is shared. This chart is unchanged.
         """
-        self._check_lifeline(owner)
+        for owner, _ in arms:
+            self._check_lifeline(owner)
         self._ensure_analysis()
         # copy() rather than dict(): it is the fast path for a scenario's
         # read-only views too.
         kind, pid, val = self.kind.copy(), self.pid.copy(), self.val.copy()
         succ = self.succ.copy()
         local_idx, vts = dict(self._local_idx), dict(self._vts)
-        chain = list(self._by_lifeline[owner])
-        ts = vts[chain[-1]] if chain else {}
-        for eid, k, v in events:
-            if eid in kind:
-                raise MscError(f"event {eid} is already in the chart")
-            if k.tag == "recv":
-                raise MscError(f"cannot append receive {eid} without its send")
-            if k.tag == "send" and (k.receiver == owner or k.receiver not in self.lifelines):
-                raise MscError(f"send {eid} must go to another declared lifeline")
-            kind[eid], pid[eid], val[eid] = k, owner, v
-            if chain:
-                succ[chain[-1]] = eid
-            chain.append(eid)
-            local_idx[eid] = len(chain)
-            ts = vts[eid] = {**ts, owner: len(chain)}
+        chains: dict[str, list[int]] = {}
+        for owner, events in arms:
+            chain = chains.get(owner)
+            if chain is None:
+                chain = chains[owner] = list(self._by_lifeline[owner])
+            ts = vts[chain[-1]] if chain else {}
+            for eid, k, v in events:
+                if eid in kind:
+                    raise MscError(f"event {eid} is already in the chart")
+                if k.tag == "recv":
+                    raise MscError(f"cannot append receive {eid} without its send")
+                if k.tag == "send" and (k.receiver == owner or k.receiver not in self.lifelines):
+                    raise MscError(f"send {eid} must go to another declared lifeline")
+                kind[eid], pid[eid], val[eid] = k, owner, v
+                if chain:
+                    succ[chain[-1]] = eid
+                chain.append(eid)
+                local_idx[eid] = len(chain)
+                ts = vts[eid] = {**ts, owner: len(chain)}
         return Msc(
             lifelines=self.lifelines,
-            events=self.events + tuple(eid for eid, _, _ in events),
+            events=self.events + tuple(eid for _, arm in arms for eid, _, _ in arm),
             kind=kind,
             pid=pid,
             val=val,
             succ=succ,
             msg=self.msg.copy(),
-            _by_lifeline={**self._by_lifeline, owner: tuple(chain)},
+            _by_lifeline={**self._by_lifeline, **{b: tuple(c) for b, c in chains.items()}},
             _local_idx=local_idx,
             _vts=vts,
             _msg_rev=self._msg_rev,

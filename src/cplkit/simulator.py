@@ -290,7 +290,7 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
     """One schedule of the chart, uniform among ready events at each step,
     deterministic per seed."""
     rng = SplitMix64(seed)
-    order = topological_order(m, lambda n: rng.randint(0, n - 1))
+    order = topological_order(m, lambda n: rng.next_u64() % n)  # randint(0, n - 1)
     if len(order) != len(m.events):
         raise ScenarioError("chart is cyclic; cannot schedule")
     return order
@@ -330,12 +330,6 @@ class RunLog:
         }
 
 
-def _descriptor(m: Msc, e: int, payloads) -> EventDescriptor:
-    kind = m.kind[e]
-    incoming = payloads[m.matching_send(e)] if kind.tag == "recv" else None
-    return EventDescriptor(kind=kind, store_after=m.val[e], incoming=incoming)
-
-
 def run_scenario(
     sc: Scenario, g: GuardSet, seed: int, mutation: str | None = None
 ) -> RunLog:
@@ -346,7 +340,10 @@ def run_scenario(
     ``g`` must be the very object ``sc.guard_set()`` returns: every
     monitor in a run shares it and evaluates its lifeline's cone of it
     (:meth:`Scenario.cones`), and the verdict at each choice is read at
-    its guard's position in the owner's cone.
+    its guard's position in the owner's cone. A taken arm's events are
+    replayed from the decoded arm; the executed chart is grown by every
+    taken arm at once (:meth:`~cplkit.msc.Msc.grow`), in the order they
+    were taken, when the replay ends.
     """
     if g is not sc.guard_set():
         raise ScenarioError("guard set is not this scenario's own sc.guard_set()")
@@ -354,37 +351,35 @@ def run_scenario(
     cones = sc.cones()
     arms_of = sc._arms
     m = sc.msc
-    schedule = sample_linear_extension(m, seed)
     monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
+    send_of = {r: s for s, r in m.msg.items()}
     payloads: dict[int, MessagePayload] = {}
     records: list[dict] = []
-    order: list[int] = []
+    taken: list[tuple[str, list[Decoded]]] = []
 
-    queue = list(schedule)
-    pos = 0
-    while pos < len(queue):
-        e = queue[pos]
-        pos += 1
-        order.append(e)
-        owner = m.pid[e]
-        gidx = guard_index_of.get(e)
-        desc = _descriptor(m, e, payloads)
+    pid, kind, val = m.pid, m.kind, m.val
+    queue = [(e, pid[e], kind[e], val[e]) for e in sample_linear_extension(m, seed)]
+    for e, owner, k, v in queue:  # taken arms extend the queue as it is read
+        desc = EventDescriptor(k, v, payloads[send_of[e]] if k.tag == "recv" else None)
         state = monitors[owner]
         begin_event(state, desc, mutation)
         payload = finish_event(state, desc, mutation)
-        record: dict = {"event": e, "lifeline": owner, "kind": m.kind[e].tag}
+        record: dict = {"event": e, "lifeline": owner, "kind": k.tag}
         if payload is not None:
             payloads[e] = payload
+        gidx = guard_index_of.get(e)
         if gidx is not None:
             verdict = state.vals[state.cone.local[g.guard_pos[gidx]]]
             record["verdict"] = verdict
             if e in arms_of:
                 arm = arms_of[e][0 if verdict else 1]
-                m = m.append_local(owner, arm)
-                queue.extend(eid for eid, _, _ in arm)
+                taken.append((owner, arm))
+                queue.extend((eid, owner, ek, ev) for eid, ek, ev in arm)
         records.append(record)
 
-    log = RunLog(order=order, records=records, payloads=payloads, states=monitors, msc=m)
+    m = m.grow(taken)
+    log = RunLog(order=[e for e, _, _, _ in queue], records=records, payloads=payloads,
+                 states=monitors, msc=m)
     if not m.is_linear_extension(log.order):
         raise ScenarioError("internal error: executed order is not a schedule")
     return log
@@ -867,11 +862,12 @@ def differential_check(
     if owners is not None:
         oracle = oracle.sliced(guard_cones(g, m.lifelines, owners))
     monitors = {b: init_monitor(b, g, m.lifelines, oracle.cones[b]) for b in m.lifelines}
+    send_of = {r: s for s, r in m.msg.items()}
     payloads: dict[int, MessagePayload] = {}
 
     for e in extension:
-        state = monitors[m.pid[e]]
-        desc = _descriptor(m, e, payloads)
+        state, k = monitors[m.pid[e]], m.kind[e]
+        desc = EventDescriptor(k, m.val[e], payloads[send_of[e]] if k.tag == "recv" else None)
         try:  # check_coherence raises MonitorError only on misuse, not possible here
             begin_event(state, desc, mutation)
             coherence = check_coherence(state, oracle, e)

@@ -117,7 +117,7 @@ def decode_event(
             raise TraceFormatError(
                 f"{where}: send needs a declared receiver other than its own lifeline"
             )
-    elif receiver is not None:
+    elif "receiver" in ev:  # even as null, which would not round-trip
         raise TraceFormatError(f"{where}: receiver only allowed on send events")
     return eid, b, _event_kind(tag, receiver), decode_valuation(ev["vars"], where)
 

@@ -8,10 +8,12 @@ memo-free recursion straight off the defining clauses.
 
 from __future__ import annotations
 
+from cplkit.denot import compare_values
 from cplkit.lang import (
     And,
     At,
     Atom,
+    AtField,
     Lit,
     LocalVar,
     Not,
@@ -23,7 +25,7 @@ from cplkit.lang import (
     Truth,
     Yesterday,
 )
-from cplkit.msc import Msc
+from cplkit.msc import Msc, Value
 
 
 def ev(eid, lifeline, kind, vars=None, to=None):
@@ -184,6 +186,36 @@ def naive_sat(m: Msc, closure, e: int, f) -> bool:
                     return True
         return False
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------- #
+# Per-event evaluation through the chart's own queries
+# ---------------------------------------------------------------------- #
+
+def eval_term(m: Msc, e: int, t: LocalVar | AtField) -> Value | None:
+    """Value of a term at an event, or None when undefined; the per-event
+    reference ``sat_table``'s term columns are tested against."""
+    m._check_event(e)
+    if isinstance(t, LocalVar):
+        return m.val[e].get(t.name)
+    lv = m.last_visible(e, t.lifeline)
+    if lv is None:
+        return None
+    return m.val[lv].get(t.name)
+
+
+def _operand_value(m: Msc, e: int, x) -> Value | None:
+    if isinstance(x, Lit):
+        return x.value
+    return eval_term(m, e, x)
+
+
+def eval_atom(m: Msc, e: int, a: Atom) -> bool:
+    """Truth of an atom at an event, by :func:`~cplkit.denot.compare_values`."""
+    m._check_event(e)
+    return compare_values(
+        a.op, _operand_value(m, e, a.left), _operand_value(m, e, a.right)
+    )
 
 
 # ---------------------------------------------------------------------- #

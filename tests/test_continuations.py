@@ -2,7 +2,11 @@
 and the malformed inputs around them that must end in a typed error."""
 
 import copy
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -293,6 +297,63 @@ def test_pinned_schedules():
     ]:
         for seed, schedule in pinned.items():
             assert sample_linear_extension(m, seed) == schedule
+
+
+# ---------------------------------------------------------------------- #
+# The executed chart is grown once, at the end of a replay
+# ---------------------------------------------------------------------- #
+
+def wide_scenario(seed: int) -> dict:
+    """The benchmark's wide scenario document, imported read-only from
+    ``bench/scenario.py``."""
+    name = "_bench_scenario"
+    if name not in sys.modules:  # its dataclass looks its module up there
+        path = Path(__file__).resolve().parents[1] / "bench" / "scenario.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].wide_scenario(seed)
+
+
+def replay_digests(runs) -> tuple[str, str, str]:
+    """sha256 of every run's order, of its verdicts and of the
+    ``dump_trace`` of its executed chart, over ``(scenario, seed)`` runs."""
+    digests = [hashlib.sha256() for _ in range(3)]
+    for sc, seed in runs:
+        log = run_scenario(sc, sc.guard_set(), seed)
+        verdicts = [(r["event"], r["verdict"]) for r in log.records if "verdict" in r]
+        for h, part in zip(digests, (log.order, verdicts, dump_trace(log.msc))):
+            h.update(json.dumps(part).encode())
+    return tuple(h.hexdigest() for h in digests)
+
+
+# Recorded while every taken arm still grew the chart on its own; growing
+# it once per replay must give the same orders, verdicts and charts.
+PINNED_REPLAYS = {
+    "fixtures": ("40a522f24b94435b27347c155419f4056bdb800b8a3e3f0a5bb65a45b2a84371",
+                 "fc0b196d82b35893ff21f271c4b882a4b7f15573af68618ad0695c2b91199973",
+                 "081a18b95a8789db9e373b2e3f1b8caafc0b86a9fa0ad3ec9f8139c35c6ce418"),
+    "wide": ("a0b62af858bd8f2500ea87a7494c14eed191e0a97a3c4d5c0667f54cea290227",
+             "b5a1e43e0efd91d7895e85cb92e9ff5a0c36738b97ca36cdc24b1819a478613f",
+             "9973f06fbb7eb2da0dc61af3f3bc0ffbc5c864a6df09403199e0a1bd5472fcf1"),
+    "generated": ("0329606cae5815ae00cbeef2d7d2cca02842394405fe25fdd81bdb8bbc4880b2",
+                  "4fddc64fb135ec5717b689206e930c7a6fb56a01a98370ea0ca69e60b4318d27",
+                  "c259180675956ed3e86cae8d22ff819e18da49b4fac3ac7be95c1a2c86461c94"),
+}
+
+
+def pinned_replay_runs(name: str):
+    if name == "fixtures":
+        fixtures = ("merge_review", "merge_review_failure_first", "merge_review_stale_candidate")
+        return [(load_scenario(fixture_path(f)), seed) for f in fixtures for seed in range(10)]
+    if name == "wide":
+        return [(load_scenario(wide_scenario(seed)), seed) for seed in range(3)]
+    return [(load_scenario(gen_scenario(seed)), seed) for seed in range(200)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPLAYS))
+def test_replays_are_pinned(name):
+    assert replay_digests(pinned_replay_runs(name)) == PINNED_REPLAYS[name]
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from cplkit.denot import eval_atom, eval_term, sat, sat_table
+from cplkit.denot import sat, sat_table
 from cplkit.fixtures import fixture_path
 from cplkit.lang import (
     At,
@@ -32,7 +32,7 @@ from cplkit.simulator import (
     random_formula,
 )
 
-from oracles import brute_last_visible, naive_sat, reachability
+from oracles import brute_last_visible, eval_atom, eval_term, naive_sat, reachability
 
 
 @pytest.fixture(scope="module")

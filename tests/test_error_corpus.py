@@ -7,10 +7,12 @@ keep every error's text, position and precedence fixed.
 """
 
 import copy
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
 
+from cplkit.cli import main
 from cplkit.lang import MAX_NESTING, ParseError, parse_guard
 from cplkit.simulator import ScenarioError, load_scenario
 from cplkit.trace import TraceFormatError, load_trace, parse_trace
@@ -262,6 +264,8 @@ TRACE_ERRORS = [
      "messages[0]: unknown event id"),
     (("messages",), [[0, 1], [0, 4]],
      "messages[1]: duplicate source id 0"),
+    (("events", 2, "receiver"), None,
+     "events[2]: receiver only allowed on send events"),
 ]
 
 SCENARIO_ERRORS = [
@@ -379,3 +383,11 @@ def test_decoded_event_kinds_are_shared_and_frozen():
     with pytest.raises(FrozenInstanceError):
         m.kind[0].receiver = "A"
     assert m.kind[0].receiver == "B"
+
+
+def test_null_receiver_on_a_non_send_exits_2(capsys, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(edit(TRACE, ("events", 2, "receiver"), None)))
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "events[2]: receiver only allowed on send events" in out.err

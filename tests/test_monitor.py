@@ -312,6 +312,44 @@ def test_self_row_untouched_by_receive_merge():
                 payloads[e] = pay
 
 
+def merge_case(mutation=None):
+    """A receive on A of a payload ahead on B and C, equal on D and behind
+    on E: the state before and after ``begin_event``, and the payload."""
+    lifelines = ("A", "B", "C", "D", "E")
+    s = init_monitor("A", guards_of("Here.x == 1", lifelines=lifelines), lifelines)
+    width = len(s.guards.sub)
+    s.vc.update(A=2, B=1, C=0, D=3, E=4)
+    for b in ("A", "B", "D", "E"):
+        s.view[b], s.var[b] = (False,) * width, {"x": 0}
+    before = replace(s, vc=dict(s.vc), view=dict(s.view), var=dict(s.var))
+    mu = MessagePayload(
+        vc={"A": 1, "B": 3, "C": 2, "D": 3, "E": 1},
+        view={b: (True,) * width for b in "ABCDE"},
+        var={b: {"x": 1} for b in "ABCDE"},
+    )
+    d = EventDescriptor(kind=EventKind("recv"), store_after={"x": 5}, incoming=mu)
+    begin_event(s, d, mutation)
+    return before, s, mu
+
+
+def test_receive_merge_adopts_exactly_where_the_payload_is_ahead():
+    before, s, mu = merge_case()
+    assert s.vc == {b: max(before.vc[b], mu.vc[b]) + (b == "A") for b in s.lifelines}
+    for b in ("B", "C"):  # strictly ahead: the payload's own rows
+        assert s.view[b] is mu.view[b] and s.var[b] is mu.var[b]
+    for b in ("D", "E"):  # equal or behind: the receiver's rows
+        assert s.view[b] is before.view[b] and s.var[b] is before.var[b]
+    assert s.view["A"] is before.view["A"]  # the own row waits for finish_event
+
+
+def test_swap_merge_order_adopts_nothing():
+    before, s, mu = merge_case("swap-merge-order")
+    assert s.vc == {b: max(before.vc[b], mu.vc[b]) + (b == "A") for b in s.lifelines}
+    assert "C" not in s.view and "C" not in s.var
+    for b in ("B", "D", "E"):
+        assert s.view[b] is before.view[b] and s.var[b] is before.var[b]
+
+
 MUTATION_CHARTS = {
     # B receives A's fresher row; joining clocks first skips the copy.
     "swap-merge-order": (

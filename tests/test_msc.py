@@ -395,6 +395,28 @@ def test_append_local_carries_the_analysis_and_leaves_the_parent_unchanged():
             assert chart_answers(m) == before and dump_trace(m) == text
 
 
+def test_grow_equals_appending_its_arms_in_turn():
+    for seed, m in enumerate(random_charts(40)):
+        new = max(m.events, default=-1) + 1
+        arms = []
+        for k, owner in enumerate(m.lifelines * 2):  # two arms per lifeline
+            other = next(b for b in m.lifelines if b != owner)
+            ids = range(new + 2 * k, new + 2 * k + 2)
+            kinds = (EventKind("act"), EventKind("send", other))
+            arms.append((owner, [(i, kd, {"x0": seed}) for i, kd in zip(ids, kinds)]))
+        stepwise = m
+        for owner, arm in arms:
+            stepwise = stepwise.append_local(owner, arm)
+        with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
+            grown = m.grow(arms)
+            answers = chart_answers(grown)
+        assert grown.events == stepwise.events
+        assert dump_trace(grown) == dump_trace(stepwise)
+        assert answers == chart_answers(stepwise) == chart_answers(load_trace(dump_trace(grown)))
+    with pytest.raises(MscError, match="no such lifeline"):
+        m.grow([(m.lifelines[0], []), ("Nobody", [])])
+
+
 def test_append_local_rejects_events_that_break_the_chart(merge):
     owner, other = merge.lifelines[:2]
     for arm, match in [
