@@ -7,7 +7,7 @@ latest-value views on messages, and differentially verifies that the two
 agree at every event.
 """
 
-from .denot import sat, sat_table
+from .denot import SatTable, sat, sat_table
 from .lang import (
     Cone,
     Formula,
@@ -68,6 +68,7 @@ __all__ = [
     "Oracle",
     "ParseError",
     "RunLog",
+    "SatTable",
     "Scenario",
     "ScenarioError",
     "TraceFormatError",

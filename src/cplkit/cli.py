@@ -136,10 +136,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     out = []
     if formulas:
         gs = close_guards(formulas)
-        rows = sat_table(m, gs)
+        table = sat_table(m, gs)
+        column = {pos: table.column(pos) for pos in set(gs.guard_pos)}
         out = [
-            {"event": e, "guard": text, "value": rows[e][pos]}
-            for e in sorted(events)
+            {"event": e, "guard": text, "value": column[pos][k]}
+            for e, k in sorted((e, table.position(e)) for e in events)
             for text, pos in zip(texts, gs.guard_pos)
         ]
     _emit(out, args.pretty)

@@ -17,11 +17,14 @@ lifeline's chain, the local predecessor and, per lifeline ``B``, the
 latest visible ``B``-event, as positions in ``m.events``) and one value
 column per distinct term, shared by every atom that reads it. A full
 chart costs O(|events| * (|subformulas| + |terms| + |lifelines|)), and
-no cell goes through a per-event lookup.
+no cell goes through a per-event lookup. The result keeps those columns
+(:class:`SatTable`): a caller reads the cells it needs, and only
+:meth:`SatTable.rows` turns the columns into one row per event.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import repeat
 from operator import itemgetter
 
@@ -37,7 +40,54 @@ def compare_values(op: str, a: Value | None, b: Value | None) -> bool:
     return COMPARISONS[op](a, b)
 
 
-def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
+class SatTable(Mapping[int, tuple[bool, ...]]):
+    """The truth of every subformula of a guard set at every event of a
+    chart, kept as the columns :func:`sat_table` computed.
+
+    A read-only mapping from event to row, in ``m.events`` order, equal to
+    the dict of those rows. ``table[e]`` builds one row; :meth:`column`
+    copies one subformula's values and :meth:`position` gives an event's
+    index into them, so a caller that needs a few cells builds no row.
+    :meth:`rows` is the one full transpose, for callers that need every row.
+    """
+
+    __slots__ = ("_events", "_pos", "_cols")
+
+    def __init__(
+        self, events: tuple[int, ...], pos: dict[int, int], cols: Sequence[Sequence[bool]]
+    ) -> None:
+        # Each column holds one cell per event and may end with a sentinel.
+        self._events, self._pos, self._cols = events, pos, cols
+
+    def __getitem__(self, e: int) -> tuple[bool, ...]:
+        k = self._pos[e]
+        return tuple([col[k] for col in self._cols])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __contains__(self, e: object) -> bool:
+        return e in self._pos
+
+    def column(self, p: int) -> Sequence[bool]:
+        """A copy of subformula ``gs.sub[p]``'s value at every event, in ``m.events`` order."""
+        return self._cols[p][: len(self._events)]
+
+    def position(self, e: int) -> int:
+        """The index of event ``e`` in every column (KeyError if no such event)."""
+        return self._pos[e]
+
+    def rows(self) -> dict[int, tuple[bool, ...]]:
+        """Every event's row, in ``m.events`` order: a new dict on each call."""
+        if not self._cols:
+            return dict.fromkeys(self._events, ())
+        return dict(zip(self._events, zip(*self._cols)))
+
+
+def sat_table(m: Msc, gs: GuardSet) -> SatTable:
     """Truth of every guard-set subformula at every event.
 
     Runs the guard set's plan column by column, one list per subformula
@@ -50,12 +100,13 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
     ``n`` itself, kept as ``itemgetter`` gathers, so a ``Y``, ``at`` or
     ``At[B].x`` column is one gather of its child's column. Every distinct
     term gets one value column, shared by the atoms that read it. Returns
-    one row per event, aligned with ``gs.sub``.
+    the columns as a :class:`SatTable`, its rows aligned with ``gs.sub``;
+    no row is built here.
     """
     events = m.events
     n = len(events)
-    if not n:
-        return {}  # a gather of one position would give a scalar
+    if not n:  # a gather of one position would give a scalar
+        return SatTable(events, {}, [()] * len(gs.plan))
     pos = {e: k for k, e in enumerate(events)}
     chains = [[pos[e] for e in m.events_of(c)] for c in m.lifelines]
     nav = [n] * (n + 1)
@@ -97,7 +148,7 @@ def sat_table(m: Msc, gs: GuardSet) -> dict[int, tuple[bool, ...]]:
         else:  # "true"
             col = [True] * n + [False]
         cols.append(col)
-    return dict(zip(events, zip(*cols))) if cols else dict.fromkeys(events, ())
+    return SatTable(events, pos, cols)
 
 
 def _visible(m: Msc, b: str, pos: dict[int, int], cache: dict[str, itemgetter]) -> itemgetter:
@@ -137,4 +188,5 @@ def sat(m: Msc, e: int, f: Formula) -> bool:
     """Does the chart satisfy ``f`` at event ``e``? Core formulas only."""
     m._check_event(e)
     gs = close_guards([f])  # raises ValueError on derived forms
-    return sat_table(m, gs)[e][gs.guard_pos[0]]
+    table = sat_table(m, gs)
+    return table.column(gs.guard_pos[0])[table.position(e)]

@@ -94,6 +94,9 @@ class Msc:
         default=None, repr=False, compare=False
     )
     _msg_rev: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    # Kahn's tables, kept by the walk that analysed the chart, or built
+    # on the first scheduling_tables() call of a grown chart.
+    _schedule: KahnTables | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Navigation and order queries
@@ -267,11 +270,22 @@ class Msc:
         chains, broken = local_chains(self)
         if broken:
             raise MscError(f"lifeline {broken[0]!r} is not a single chain")
-        order = topological_order(self)
+        schedule = kahn_tables(self)
+        order = topological_order(self, schedule=schedule)
         if len(order) != len(self.events):
             raise MscError("event graph is cyclic")
-        for name, table in _analysis(self, chains, order).items():
+        for name, table in _analysis(self, chains, order, schedule).items():
             setattr(self, name, table)
+
+    def scheduling_tables(self) -> KahnTables:
+        """The chart's :func:`kahn_tables`, for :func:`topological_order`:
+        kept once it is analysed, built afresh while it is not."""
+        if self._schedule is not None:
+            return self._schedule
+        schedule = kahn_tables(self)
+        if self._vts is not None:  # a grown chart, analysed but not walked
+            self._schedule = schedule
+        return schedule
 
 
 # ---------------------------------------------------------------------- #
@@ -305,9 +319,12 @@ def local_chains(m: Msc) -> tuple[dict[str, list[int]], list[str]]:
     return chains, broken
 
 
-def _analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> dict:
+def _analysis(
+    m: Msc, chains: dict[str, list[int]], order: list[int], schedule: KahnTables
+) -> dict:
     """The causal-query tables of a chart with single ``chains`` and a complete
-    topological ``order``, keyed by the :class:`Msc` fields they fill, ``_vts`` last."""
+    topological ``order`` walked from ``schedule``, keyed by the :class:`Msc`
+    fields they fill, ``_vts`` last."""
     by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
     local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
     msg_rev = {r: s for s, r in m.msg.items()}
@@ -321,14 +338,18 @@ def _analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> dict:
                     ts[b] = n
         ts[m.pid[e]] = k
         vts[e] = ts
-    return {"_by_lifeline": by_lifeline, "_local_idx": local_idx, "_msg_rev": msg_rev, "_vts": vts}
+    return {"_by_lifeline": by_lifeline, "_local_idx": local_idx, "_msg_rev": msg_rev,
+            "_schedule": schedule, "_vts": vts}
 
 
-def topological_order(m: Msc, pick=None) -> list[int]:
-    """Kahn's algorithm over the successor and message edges; edges with
-    an unknown end are skipped. The ready list is kept sorted and
-    ``pick(n)`` chooses which of its ``n`` events goes next (default: the
-    smallest id). On a cyclic graph the order misses the cycle's events."""
+#: Kahn's tables: each event's in-degree, its out-edges, and the sorted
+#: events of in-degree 0.
+KahnTables = tuple[dict[int, int], dict[int, list[int]], tuple[int, ...]]
+
+
+def kahn_tables(m: Msc) -> KahnTables:
+    """The :data:`KahnTables` of the successor and message edges; edges with
+    an unknown end are skipped."""
     indeg = dict.fromkeys(m.events, 0)
     out: dict[int, list[int]] = {e: [] for e in m.events}
     for edges in (m.succ, m.msg):
@@ -336,7 +357,16 @@ def topological_order(m: Msc, pick=None) -> list[int]:
             if src in indeg and dst in indeg:
                 out[src].append(dst)
                 indeg[dst] += 1
-    ready = sorted(e for e, n in indeg.items() if n == 0)
+    return indeg, out, tuple(sorted(e for e, n in indeg.items() if n == 0))
+
+
+def topological_order(m: Msc, pick=None, schedule: KahnTables | None = None) -> list[int]:
+    """Kahn's algorithm over ``schedule``, by default :func:`kahn_tables`
+    of ``m``, which it leaves unchanged. The ready list is kept sorted and
+    ``pick(n)`` chooses which of its ``n`` events goes next (default: the
+    smallest id). On a cyclic graph the order misses the cycle's events."""
+    indeg, out, ready = schedule or kahn_tables(m)
+    indeg, ready = indeg.copy(), list(ready)
     order: list[int] = []
     while ready:
         e = ready.pop(pick(len(ready)) if pick else 0)
@@ -437,9 +467,10 @@ def validate_msc(m: Msc) -> MscReport:
         if m.kind[e].tag == "recv" and e not in recv_matches:
             bad.append(Violation("iii", "receive event has no matching send", (e,)))
 
-    order = topological_order(m)
+    schedule = kahn_tables(m)
+    order = topological_order(m, schedule=schedule)
     if len(order) != len(m.events):
         bad.append(Violation("iv", "successor/message graph is cyclic"))
     elif not broken:
-        return MscReport(tuple(bad), _analysis(m, chains, order))
+        return MscReport(tuple(bad), _analysis(m, chains, order, schedule))
     return MscReport(tuple(bad))

@@ -33,7 +33,7 @@ from operator import getitem
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .denot import sat_table
+from .denot import SatTable, sat_table
 from .lang import (
     And,
     At,
@@ -288,9 +288,12 @@ def _decode_branches(
 
 def sample_linear_extension(m: Msc, seed: int) -> list[int]:
     """One schedule of the chart, uniform among ready events at each step,
-    deterministic per seed."""
+    deterministic per seed: Kahn's algorithm over the chart's kept tables
+    (:meth:`~cplkit.msc.Msc.scheduling_tables`), one draw per pick."""
     rng = SplitMix64(seed)
-    order = topological_order(m, lambda n: rng.next_u64() % n)  # randint(0, n - 1)
+    order = topological_order(
+        m, lambda n: rng.next_u64() % n, m.scheduling_tables()  # randint(0, n - 1)
+    )
     if len(order) != len(m.events):
         raise ScenarioError("chart is cyclic; cannot schedule")
     return order
@@ -597,13 +600,13 @@ class Coherent(NamedTuple):
 
 class Oracle(NamedTuple):
     """What differential checks on one chart and guard set share, since no
-    schedule changes it: the ``sat_table`` rows, the cones the monitors
+    schedule changes it: the ``sat_table`` columns, the cones the monitors
     run and, per event, the :class:`Coherent` state of a monitor running
     them. :func:`prepare_oracle` builds it for the whole-plan cones."""
 
     msc: Msc
     guards: GuardSet
-    rows: dict[int, Row]
+    table: SatTable
     cones: dict[str, Cone]
     states: dict[int, Coherent]
 
@@ -611,7 +614,7 @@ class Oracle(NamedTuple):
         """This oracle for ``cones``, one :func:`~cplkit.lang.guard_cones`
         result of the same guard set, with the same clocks."""
         seen = {e: (c.clock, c.seen) for e, c in self.states.items()}
-        return self._replace(cones=cones, states=_coherent(self.msc, self.rows, cones, seen))
+        return self._replace(cones=cones, states=_coherent(self.msc, self.table, cones, seen))
 
 
 def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
@@ -622,23 +625,25 @@ def prepare_oracle(m: Msc, g: GuardSet) -> Oracle:
         for f in past:
             clock[m.pid[f]] += 1
         seen[e] = clock, {b: chains[b][k - 1] for b, k in clock.items() if k}
-    rows, cones = sat_table(m, g), guard_cones(g, m.lifelines)
-    return Oracle(m, g, rows, cones, _coherent(m, rows, cones, seen))
+    table, cones = sat_table(m, g), guard_cones(g, m.lifelines)
+    return Oracle(m, g, table, cones, _coherent(m, table, cones, seen))
 
 
-def _coherent(m: Msc, rows, cones: Mapping[str, Cone], seen) -> dict[int, Coherent]:
+def _coherent(m: Msc, table: SatTable, cones: Mapping[str, Cone], seen) -> dict[int, Coherent]:
     """Per event, the state of its lifeline's monitor running ``cones``;
     ``seen`` holds each event's clock and latest visible events."""
     cone = next(iter(cones.values()), None)
-    view_of = rows if cone is None or cone.whole else {  # on the positions each lifeline exports
-        t: _project(rows[t], cone.exports[m.pid[t]]) for t in m.events}
+    if cone is None or cone.whole:  # every row whole: the one transpose
+        view_of = vals_of = table.rows()
+    else:  # each event's row on the positions its lifeline exports, and on its cone
+        view_of = _gather(m, table, cone.exports)
+        vals_of = _gather(m, table, {b: c.steps for b, c in cones.items()})
     var_of = {  # an event's value row on the variables its lifeline mirrors
         t: {x: m.val[t][x] for x in cone.mirrors[m.pid[t]] if x in m.val[t]} for t in m.events
     }
     states = {}
     for e in m.events:
         me, prev, (clock, latest) = m.pid[e], m.last_loc(e), seen[e]
-        steps, whole = cones[me].steps, cones[me].whole
         var = {b: var_of[t] for b, t in latest.items()}
         pairs = [(b, x) for b, row in var.items() for x in row]
         view = {b: view_of[t] for b, t in latest.items()}
@@ -649,16 +654,23 @@ def _coherent(m: Msc, rows, cones: Mapping[str, Cone], seen) -> dict[int, Cohere
             clock, latest, before, view, var,
             ([b for b, _ in pairs], [x for _, x in pairs], [type(var[b][x]) for b, x in pairs]),
             dict(m.val[e]), [type(v) for v in m.val[e].values()],
-            (False,) * len(steps) if prev is None else rows[prev] if whole
-            else _project(rows[prev], steps),
-            rows[e] if whole else _project(rows[e], steps),
+            (False,) * len(cones[me].steps) if prev is None else vals_of[prev],
+            vals_of[e],
         )
     return states
 
 
-def _project(row: Row, positions: tuple[int, ...]) -> Row:
-    """A ``sat_table`` row at ``positions``."""
-    return tuple(map(row.__getitem__, positions))
+def _gather(m: Msc, table: SatTable, positions: Mapping[str, tuple[int, ...]]) -> dict[int, Row]:
+    """Per event, its ``table`` row at its lifeline's ``positions``, read
+    from the columns."""
+    column = {p: table.column(p) for p in set().union(*positions.values())}
+    rows: dict[int, Row] = {}
+    for b, ps in positions.items():
+        events = m.events_of(b)
+        ks = [table.position(e) for e in events]
+        cells = [[column[p][k] for k in ks] for p in ps]
+        rows.update(zip(events, zip(*cells)) if ps else dict.fromkeys(events, ()))
+    return rows
 
 
 def _same_values(row: Mapping[str, Value], want: Mapping[str, Value]) -> bool:

@@ -14,7 +14,7 @@ import pytest
 import cplkit
 from cplkit import monitor, simulator
 from cplkit.cli import main
-from cplkit.denot import sat
+from cplkit.denot import SatTable, sat
 from cplkit.fixtures import fixture_path
 from cplkit.lang import MAX_NESTING, expand_derived, guard_cones, parse_guard
 from cplkit.simulator import FuzzParams, Scenario, load_scenario
@@ -160,6 +160,21 @@ def test_check_output_is_pinned(capsys, tmp_path, name, digest):
         capsys, "check", str(path), *(arg for t in texts for arg in ("--guard", t))
     )
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+@pytest.mark.parametrize("event", [[], ["--event", "5"]])
+def test_check_builds_no_row(capsys, monkeypatch, event):
+    """check reads the guard columns of the table, never one of its rows."""
+    argv = ["check", MERGE, *(arg for t in _FIXTURE_GUARDS for arg in ("--guard", t)), *event]
+    expected = run(capsys, *argv)
+
+    def forbidden(*args):
+        raise AssertionError("cplkit check built a row")
+
+    monkeypatch.setattr(SatTable, "__getitem__", forbidden)
+    monkeypatch.setattr(SatTable, "rows", forbidden)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and len(json.loads(expected[1])) > 1
 
 
 # ---------------------------------------------------------------------- #

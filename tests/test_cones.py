@@ -267,6 +267,30 @@ def random_owner_instances(count):
         yield m, g, ext, owners, prepare_oracle(m, g)
 
 
+def test_sliced_oracle_equals_projected_rows():
+    """A sliced oracle reads its rows from the table's columns; each one
+    equals the full row of its event projected onto the cone's positions."""
+    for m, g, _, owners, oracle in random_owner_instances(200):
+        cones = guard_cones(g, m.lifelines, owners)
+        exports, rows = cones[m.lifelines[0]].exports, oracle.table.rows()
+
+        def project(t, positions):
+            return tuple(rows[t][p] for p in positions)
+
+        for e, state in oracle.sliced(cones).states.items():
+            me, prev = m.pid[e], m.last_loc(e)
+            steps = cones[me].steps
+            assert state.vals == project(e, steps)
+            assert state.old == (project(prev, steps) if prev is not None
+                                 else (False,) * len(steps))
+            assert state.view == {b: project(t, exports[b]) for b, t in state.seen.items()}
+            before = {b: row for b, row in state.view.items() if b != me}
+            if prev is not None:
+                before[me] = project(prev, exports[me])
+            assert state.before == before
+            assert (state.clock, state.seen) == oracle.states[e][:2]
+
+
 #: Per mutation (None for the correct monitor): the sha256 of the random-owner
 #: sweep's reports (``to_dict()`` without ``elapsed_seconds``, in instance
 #: order) and the number of instances that diverged.

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from cplkit.denot import sat, sat_table
+from cplkit.denot import SatTable, sat, sat_table
 from cplkit.fixtures import fixture_path
 from cplkit.lang import (
     At,
@@ -255,9 +255,12 @@ def atom_positions(gs):
 
 def assert_table_matches_reference(m, gs, naive=True):
     """Every atom cell equals ``eval_atom``; with ``naive``, every row
-    equals the memo-free oracle on every subformula."""
-    rows = sat_table(m, gs)
-    assert list(rows) == list(m.events)
+    equals the memo-free oracle on every subformula. Rows come from the
+    table's one transpose, which must agree with its single rows."""
+    table = sat_table(m, gs)
+    rows = table.rows()
+    assert list(table) == list(rows) == list(m.events)
+    assert rows == table and all(table[e] == rows[e] for e in m.events)
     closure = reachability(m) if naive else None
     for e in m.events:
         assert len(rows[e]) == len(gs.sub)
@@ -378,3 +381,65 @@ def test_sat_table_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_sat_table_is_read_only(merge):
+    gs = close_guards([Atom("==", LocalVar("status"), Lit("passed"))])
+    table = sat_table(merge, gs)
+    e = merge.events[0]
+    with pytest.raises(TypeError):
+        table[e] = ()
+    with pytest.raises(TypeError):
+        del table[e]
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    table.column(0)[table.position(e)] = None  # a copy: the table is unchanged
+    assert table == sat_table(merge, gs)
+
+
+def test_sat_table_without_subformulas_has_empty_rows(merge):
+    table = sat_table(merge, close_guards([]))
+    assert table == dict.fromkeys(merge.events, ()) == table.rows()
+    assert [table[e] for e in table] == [()] * len(merge.events)
+    empty = Msc(("A",), (), {}, {}, {}, {}, {})
+    table = sat_table(empty, close_guards([Atom("==", LocalVar("x"), Lit(1))]))
+    assert table == {} and table.rows() == {} and len(table) == 0
+    assert list(table.column(0)) == []
+
+
+def test_sat_table_columns_and_positions_agree_with_rows():
+    rng = SplitMix64(2718)
+    p = FuzzParams(**ACCEPTANCE)
+    for m in small_charts(40, seed0=900):
+        gs = close_guards([
+            expand_derived(random_formula(rng, 3, m.lifelines, p), m.lifelines)
+            for _ in range(3)
+        ])
+        table = sat_table(m, gs)
+        rows = table.rows()
+        assert len(table) == len(m.events) and all(e in table for e in m.events)
+        assert -1 not in table and table.get(-1) is None
+        assert [table.position(e) for e in table] == list(range(len(m.events)))
+        for k in range(len(gs.sub)):
+            assert list(table.column(k)) == [rows[e][k] for e in m.events]
+        with pytest.raises(KeyError):
+            table.position(-1)
+
+
+def test_sat_reads_one_cell(merge, monkeypatch):
+    formulas = [
+        expand_derived(parse_guard(text, set(merge.lifelines)), merge.lifelines)
+        for text in ('At[TestRunner].status == "passed"', "Y(true) S seen(Committer)")
+    ]
+    expected = {
+        (e, k): sat_table(merge, gs)[e][gs.guard_pos[0]]
+        for k, gs in enumerate(close_guards([f]) for f in formulas) for e in merge.events
+    }
+
+    def forbidden(*args):
+        raise AssertionError("sat built a row")
+
+    monkeypatch.setattr(SatTable, "__getitem__", forbidden)
+    monkeypatch.setattr(SatTable, "rows", forbidden)
+    for (e, k), value in expected.items():
+        assert sat(merge, e, formulas[k]) == value

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import time
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,7 @@ from cplkit.lang import (
     parse_guard,
     pretty,
 )
-from cplkit.msc import Msc, validate_msc
+from cplkit.msc import EventKind, Msc, kahn_tables, validate_msc
 from cplkit.rng import SplitMix64
 from cplkit.simulator import (
     FuzzParams,
@@ -44,7 +45,7 @@ from cplkit.simulator import (
     sample_linear_extension,
 )
 from cplkit.monitor import MUTATIONS
-from cplkit.trace import load_trace
+from cplkit.trace import dump_trace, load_trace
 
 from oracles import all_topo_sorts, chart, ev, vars_of
 
@@ -98,6 +99,34 @@ def test_every_schedule_of_a_diamond_is_sampled():
 def test_schedules_are_deterministic_per_seed():
     m = gen_random_msc(FuzzParams(seed=5))
     assert sample_linear_extension(m, 9) == sample_linear_extension(m, 9)
+
+
+def test_schedules_reuse_the_charts_kahn_tables():
+    """A scenario chart keeps the Kahn tables of its validating walk, an
+    analysed chart those of its analysis, and a grown chart builds them on
+    its first schedule. Every order equals the one sampled on a fresh
+    chart loaded from the dump, which builds its tables for every schedule."""
+    def fresh_orders(m):
+        fresh = load_trace(dump_trace(m))
+        with mock.patch("cplkit.msc.kahn_tables", wraps=kahn_tables) as built:
+            orders = [sample_linear_extension(fresh, seed) for seed in range(20)]
+        assert built.call_count == 20 and fresh._vts is None
+        return orders
+
+    sc = load_scenario(fixture_path("merge_review"))
+    generated = gen_random_msc(FuzzParams(seed=5))
+    generated.causal_leq(generated.events[0], generated.events[0])
+    for m in (sc.msc, generated):
+        with mock.patch("cplkit.msc.kahn_tables", side_effect=AssertionError):
+            orders = [sample_linear_extension(m, seed) for seed in range(20)]
+        assert orders == fresh_orders(m)
+    grown = sc.msc.append_local("Committer", [
+        (100, EventKind("act"), {}), (101, EventKind("send", "TestRunner"), {}),
+    ])
+    with mock.patch("cplkit.msc.kahn_tables", wraps=kahn_tables) as built:
+        orders = [sample_linear_extension(grown, seed) for seed in range(20)]
+    assert built.call_count == 1
+    assert orders == fresh_orders(grown)
 
 
 # ---------------------------------------------------------------------- #
