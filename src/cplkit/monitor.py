@@ -44,7 +44,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .lang import Cone, GuardSet, guard_cones
 from .msc import EventKind, Valuation, Value
@@ -144,13 +143,13 @@ class EventDescriptor:
     """What the monitor is told about one event of its own lifeline.
 
     ``store_after`` is the local store after the event (sends and choice
-    events conventionally leave the store unchanged), which
-    :func:`begin_event` copies, so it may be the chart's own valuation;
-    ``incoming`` carries the matched message's payload on receives.
+    events conventionally leave the store unchanged): a dict or a chart's
+    own valuation, which :func:`begin_event` copies; ``incoming`` carries
+    the matched message's payload on receives.
     """
 
     kind: EventKind
-    store_after: Mapping[str, Value]
+    store_after: Valuation
     incoming: MessagePayload | None = None
 
 
@@ -167,7 +166,7 @@ class MonitorState:
     cone: Cone
     view: dict[str, Row] = field(default_factory=dict)
     var: dict[str, dict[str, Value]] = field(default_factory=dict)
-    store: Valuation = field(default_factory=dict)
+    store: dict[str, Value] = field(default_factory=dict)
     old: Row = ()
     vals: Row | None = None
 
@@ -240,10 +239,7 @@ def begin_event(
         s.old = s.vals
 
     s.vc[s.me] += 1
-    store = d.store_after
-    # A scenario chart's valuations are read-only views, which dict()
-    # copies key by key; their own copy() is one call.
-    s.store = store.copy() if type(store) is MappingProxyType else dict(store)
+    s.store = d.store_after.copy()
     s.var[s.me] = {x: s.store[x] for x in s.cone.mirror if x in s.store}
 
 

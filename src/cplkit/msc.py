@@ -6,21 +6,24 @@ send/receive pairs add cross-lifeline edges. The causal order ``<=_M`` is
 the reflexive transitive closure of both edge kinds, and is a partial
 order whenever the chart is well-formed.
 
-Every query here is read-only. Only a scenario's chart is immutable and
-safe to query from any thread: its tables are read-only views, analysed by
-the walk that validates it. A chart from ``load_trace`` or ``gen_random_msc``
-holds plain dicts that callers must not edit, and is analysed on its first
-causal query. Causal queries read per-event vector timestamps computed once
-per chart: component ``B`` of an event's timestamp counts the ``B``-events
-in its causal past (including the event itself on its own lifeline), so
-``e <=_M f`` reduces to one integer comparison.
+Every chart is read-only from the moment it is built, whether by
+``load_trace``, ``gen_random_msc``, :meth:`Msc.grow` or ``Msc(...)`` in
+code: its tables and valuations are read-only views over dicts no caller
+holds, so an edit fails where it is made. Every cache on a chart is
+therefore valid forever, and a chart is safe to query from any thread.
+Causal queries read per-event vector timestamps built once per chart, by
+the walk that validates it (:func:`validate_msc`) or else on the first
+causal query: component ``B`` of an event's timestamp counts the
+``B``-events in its causal past (including the event itself on its own
+lifeline), so ``e <=_M f`` reduces to one integer comparison.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 #: Stored values are plain tagged scalars. Tags never coerce: an integer 1
 #: and a boolean true are different values, so every comparison goes
@@ -31,8 +34,9 @@ Value = int | str | bool
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 #: A valuation maps variable names to values; a missing key is the
-#: distinguished "undefined" outcome, not an error.
-Valuation = dict[str, Value]
+#: distinguished "undefined" outcome, not an error. A chart's valuations
+#: are read-only.
+Valuation = Mapping[str, Value]
 
 EVENT_TAGS = ("act", "recv", "choice", "send")
 
@@ -62,7 +66,7 @@ class EventKind:
             raise MscError("receiver must be present exactly on send events")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Msc:
     """One execution: events, local succession, message matching, valuations.
 
@@ -75,28 +79,51 @@ class Msc:
     * ``succ`` — immediate local successor (partial map).
     * ``msg`` — send id -> receive id for delivered messages; sends
       missing from this map are still in transit.
+
+    A chart is read-only: ``Msc(...)`` keeps read-only copies of the
+    tables and valuations it is given, so no caller's dict is shared.
     """
 
     lifelines: tuple[str, ...]
     events: tuple[int, ...]
-    kind: dict[int, EventKind]
-    pid: dict[int, str]
-    val: dict[int, Valuation]
-    succ: dict[int, int]
-    msg: dict[int, int]
+    kind: Mapping[int, EventKind]
+    pid: Mapping[int, str]
+    val: Mapping[int, Valuation]
+    succ: Mapping[int, int]
+    msg: Mapping[int, int]
 
-    # Lazy per-chart analysis, built on first causal query (valid charts only).
+    # The causal-query tables, kept by the walk that validated the chart or
+    # else by its first causal query (well-formed chains only; _vts is set
+    # last), and Kahn's tables, kept on their first use.
     _by_lifeline: dict[str, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
-    _local_idx: dict[int, int] | None = field(default=None, repr=False, compare=False)
+    _local_idx: dict[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _vts: dict[int, dict[str, int]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
-    _msg_rev: dict[int, int] | None = field(default=None, repr=False, compare=False)
-    # Kahn's tables, kept by the walk that analysed the chart, or built
-    # on the first scheduling_tables() call of a grown chart.
-    _schedule: KahnTables | None = field(default=None, repr=False, compare=False)
+    _schedule: KahnTables | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _freeze(self, self.lifelines, self.events, dict(self.kind), dict(self.pid),
+                {e: MappingProxyType(dict(v)) for e, v in self.val.items()},
+                dict(self.succ), dict(self.msg))
+
+    @classmethod
+    def _own(cls, lifelines, events, kind, pid, val, succ, msg, **analysis) -> "Msc":
+        """A chart over dicts built for it alone, each valuation read-only
+        already: the tables are frozen where they are, not copied."""
+        return _freeze(object.__new__(cls), lifelines, events, kind, pid, val, succ, msg,
+                       **analysis)
+
+    def __reduce__(self):
+        """Pickle and copy a chart as the call that builds it again (its
+        read-only views do not pickle)."""
+        return Msc, (self.lifelines, self.events, self.kind.copy(), self.pid.copy(),
+                     {e: v.copy() for e, v in self.val.items()}, self.succ.copy(),
+                     self.msg.copy())
 
     # ------------------------------------------------------------------ #
     # Navigation and order queries
@@ -148,12 +175,6 @@ class Msc:
         self._ensure_analysis()
         return self._by_lifeline[b]
 
-    def matching_send(self, r: int) -> int | None:
-        """The send matched to receive event ``r``, if any."""
-        self._check_event(r)
-        self._ensure_analysis()
-        return self._msg_rev.get(r)
-
     def is_linear_extension(self, seq: list[int]) -> bool:
         """True iff ``seq`` is a permutation of the events respecting ``<=_M``.
 
@@ -171,13 +192,6 @@ class Msc:
                 return False
         return True
 
-    def vector_timestamp(self, e: int) -> dict[str, int]:
-        """Per-lifeline causal-past counts of ``e`` (a copy)."""
-        self._check_event(e)
-        self._ensure_analysis()
-        ts = self._vts[e]
-        return {b: ts.get(b, 0) for b in self.lifelines}
-
     def timestamp_column(self, b: str) -> list[int]:
         """Component ``b`` of every event's vector timestamp, in ``events``
         order: how many ``b``-events each event sees. Copies no timestamp."""
@@ -190,14 +204,6 @@ class Msc:
     # Growth
     # ------------------------------------------------------------------ #
 
-    def append_local(
-        self, owner: str, events: list[tuple[int, EventKind, Valuation]]
-    ) -> "Msc":
-        """A new chart: this one with ``events``, given as ``(id, kind,
-        valuation)``, chained in order after ``owner``'s last event; the
-        one-arm call of :meth:`grow`. This chart is unchanged."""
-        return self.grow([(owner, events)])
-
     def grow(
         self, arms: Sequence[tuple[str, Sequence[tuple[int, EventKind, Valuation]]]]
     ) -> "Msc":
@@ -209,16 +215,14 @@ class Msc:
         Receives cannot be appended (their send would be missing), so the
         new events see nothing beyond their owner's past and the analysis
         carries over: each owner's chain, local indices and timestamps are
-        extended, every other table is shared. This chart is unchanged.
+        extended, and this chart's valuations and every other table are
+        shared. Each new valuation is kept as a read-only copy.
         """
         for owner, _ in arms:
             self._check_lifeline(owner)
         self._ensure_analysis()
-        # copy() rather than dict(): it is the fast path for a scenario's
-        # read-only views too.
         kind, pid, val = self.kind.copy(), self.pid.copy(), self.val.copy()
-        succ = self.succ.copy()
-        local_idx, vts = dict(self._local_idx), dict(self._vts)
+        succ, local_idx, vts = self.succ.copy(), self._local_idx.copy(), self._vts.copy()
         chains: dict[str, list[int]] = {}
         for owner, events in arms:
             chain = chains.get(owner)
@@ -232,24 +236,19 @@ class Msc:
                     raise MscError(f"cannot append receive {eid} without its send")
                 if k.tag == "send" and (k.receiver == owner or k.receiver not in self.lifelines):
                     raise MscError(f"send {eid} must go to another declared lifeline")
-                kind[eid], pid[eid], val[eid] = k, owner, v
+                kind[eid], pid[eid], val[eid] = k, owner, MappingProxyType(dict(v))
                 if chain:
                     succ[chain[-1]] = eid
                 chain.append(eid)
                 local_idx[eid] = len(chain)
                 ts = vts[eid] = {**ts, owner: len(chain)}
-        return Msc(
-            lifelines=self.lifelines,
-            events=self.events + tuple(eid for _, arm in arms for eid, _, _ in arm),
-            kind=kind,
-            pid=pid,
-            val=val,
-            succ=succ,
-            msg=self.msg.copy(),
+        return Msc._own(
+            self.lifelines,
+            self.events + tuple(eid for _, arm in arms for eid, _, _ in arm),
+            kind, pid, val, succ, self.msg.copy(),
             _by_lifeline={**self._by_lifeline, **{b: tuple(c) for b, c in chains.items()}},
             _local_idx=local_idx,
             _vts=vts,
-            _msg_rev=self._msg_rev,
         )
 
     # ------------------------------------------------------------------ #
@@ -270,22 +269,27 @@ class Msc:
         chains, broken = local_chains(self)
         if broken:
             raise MscError(f"lifeline {broken[0]!r} is not a single chain")
-        schedule = kahn_tables(self)
-        order = topological_order(self, schedule=schedule)
+        order = topological_order(self, schedule=self.scheduling_tables())
         if len(order) != len(self.events):
             raise MscError("event graph is cyclic")
-        for name, table in _analysis(self, chains, order, schedule).items():
-            setattr(self, name, table)
+        _keep_analysis(self, chains, order)
 
     def scheduling_tables(self) -> KahnTables:
         """The chart's :func:`kahn_tables`, for :func:`topological_order`:
-        kept once it is analysed, built afresh while it is not."""
-        if self._schedule is not None:
-            return self._schedule
-        schedule = kahn_tables(self)
-        if self._vts is not None:  # a grown chart, analysed but not walked
-            self._schedule = schedule
-        return schedule
+        built on the first call and kept."""
+        if self._schedule is None:
+            object.__setattr__(self, "_schedule", kahn_tables(self))
+        return self._schedule
+
+
+def _freeze(m: Msc, lifelines, events, kind, pid, val, succ, msg, **analysis) -> Msc:
+    """``m`` with its fields set to read-only views over the given dicts."""
+    m.__dict__.update(
+        lifelines=tuple(lifelines), events=tuple(events), kind=MappingProxyType(kind),
+        pid=MappingProxyType(pid), val=MappingProxyType(val), succ=MappingProxyType(succ),
+        msg=MappingProxyType(msg), **analysis,
+    )
+    return m
 
 
 # ---------------------------------------------------------------------- #
@@ -319,12 +323,9 @@ def local_chains(m: Msc) -> tuple[dict[str, list[int]], list[str]]:
     return chains, broken
 
 
-def _analysis(
-    m: Msc, chains: dict[str, list[int]], order: list[int], schedule: KahnTables
-) -> dict:
-    """The causal-query tables of a chart with single ``chains`` and a complete
-    topological ``order`` walked from ``schedule``, keyed by the :class:`Msc`
-    fields they fill, ``_vts`` last."""
+def _keep_analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> None:
+    """Keep on ``m`` the causal-query tables of its single ``chains`` and its
+    complete topological ``order``, ``_vts`` last."""
     by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
     local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
     msg_rev = {r: s for s, r in m.msg.items()}
@@ -338,8 +339,7 @@ def _analysis(
                     ts[b] = n
         ts[m.pid[e]] = k
         vts[e] = ts
-    return {"_by_lifeline": by_lifeline, "_local_idx": local_idx, "_msg_rev": msg_rev,
-            "_schedule": schedule, "_vts": vts}
+    m.__dict__.update(_by_lifeline=by_lifeline, _local_idx=local_idx, _vts=vts)
 
 
 #: Kahn's tables: each event's in-degree, its out-edges, and the sorted
@@ -393,10 +393,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class MscReport:
-    """The violations, and the causal-query tables when :func:`validate_msc` built them."""
+    """The violations :func:`validate_msc` found."""
 
     violations: tuple[Violation, ...]
-    analysis: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -414,8 +413,9 @@ def validate_msc(m: Msc) -> MscReport:
           has exactly one matching send,
     (iv)  the graph of successor and message edges is acyclic.
 
-    When (iv) and the chain part of (ii) hold, the same walk builds the
-    causal-query tables into the report; ``m``, whose dicts may still change, caches nothing.
+    When (iv) and the chain part of (ii) hold, the same walk is the
+    chart's analysis: ``m`` keeps its causal-query tables, and its Kahn's
+    tables in any case.
     """
     bad: list[Violation] = []
 
@@ -467,10 +467,9 @@ def validate_msc(m: Msc) -> MscReport:
         if m.kind[e].tag == "recv" and e not in recv_matches:
             bad.append(Violation("iii", "receive event has no matching send", (e,)))
 
-    schedule = kahn_tables(m)
-    order = topological_order(m, schedule=schedule)
+    order = topological_order(m, schedule=m.scheduling_tables())
     if len(order) != len(m.events):
         bad.append(Violation("iv", "successor/message graph is cyclic"))
-    elif not broken:
-        return MscReport(tuple(bad), _analysis(m, chains, order, schedule))
+    elif not broken and m._vts is None:
+        _keep_analysis(m, chains, order)
     return MscReport(tuple(bad))

@@ -104,10 +104,9 @@ class Scenario:
     when the guard takes that arm. Arms may send but not receive. Building
     a scenario checks the chart and every arm (:class:`ScenarioError`); it
     is read-only, so a changed scenario is a new one (``dataclasses.replace``).
-    It holds its own copy of the chart, whose tables and valuations are
-    read-only views (so an edit fails where it is made instead of being
-    replayed unchecked) and whose analysis the validating walk built.
-    Guards are parsed and closed once, on first use, with the cones.
+    Its chart, like every chart, is read-only, and the walk that validated
+    it is its analysis. Guards are parsed and closed once, on first use,
+    with the cones.
     """
 
     msc: Msc
@@ -117,20 +116,9 @@ class Scenario:
     _owners: dict = field(init=False, repr=False, compare=False)  # guard event -> lifeline
 
     def __post_init__(self) -> None:
-        m = self.msc
-        report = validate_msc(m)
+        report = validate_msc(self.msc)
         if not report.ok:
             raise ScenarioError(f"scenario chart is not well-formed: {report.violations}")
-        object.__setattr__(self, "msc", Msc(
-            lifelines=m.lifelines,
-            events=m.events,
-            kind=MappingProxyType(dict(m.kind)),
-            pid=MappingProxyType(dict(m.pid)),
-            val=MappingProxyType({e: MappingProxyType(dict(v)) for e, v in m.val.items()}),
-            succ=MappingProxyType(dict(m.succ)),
-            msg=MappingProxyType(dict(m.msg)),
-            **report.analysis,
-        ))
         arms = {c: (tuple(a), tuple(b)) for c, (a, b) in self.branches.items()}
         object.__setattr__(self, "guard_texts", MappingProxyType(dict(self.guard_texts)))
         object.__setattr__(self, "branches", MappingProxyType(arms))
@@ -421,11 +409,11 @@ class FuzzParams:
 
 
 def _random_valuation(rng: SplitMix64, p: FuzzParams) -> Valuation:
-    out: Valuation = {}
+    out: dict[str, Value] = {}
     for i in range(p.var_alphabet):
         if rng.random() < 0.7:
             out[f"x{i}"] = rng.choice(p.value_alphabet)
-    return out
+    return MappingProxyType(out)
 
 
 def gen_random_msc(p: FuzzParams) -> Msc:
@@ -472,12 +460,10 @@ def gen_random_msc(p: FuzzParams) -> Msc:
                 to = rng.choice(others)
                 kind[eid] = EventKind("send", to)
                 in_flight.append((eid, to))
-                prev = last[b]
-                val[eid] = dict(val[prev]) if prev is not None else {}
+                val[eid] = val[last[b]] if last[b] is not None else MappingProxyType({})
             elif r < p.message_prob + 0.15:
                 kind[eid] = EventKind("choice")
-                prev = last[b]
-                val[eid] = dict(val[prev]) if prev is not None else {}
+                val[eid] = val[last[b]] if last[b] is not None else MappingProxyType({})
             else:
                 kind[eid] = EventKind("act")
                 val[eid] = _random_valuation(rng, p)
@@ -487,15 +473,7 @@ def gen_random_msc(p: FuzzParams) -> Msc:
             succ[last[b]] = eid
         last[b] = eid
 
-    return Msc(
-        lifelines=lifelines,
-        events=tuple(range(next_id)),
-        kind=kind,
-        pid=pid,
-        val=val,
-        succ=succ,
-        msg=msg,
-    )
+    return Msc._own(lifelines, range(next_id), kind, pid, val, succ, msg)
 
 
 _FORMULA_STREAM = 0x6A09E667F3BCC909  # offsets formula seeds from chart seeds
@@ -653,7 +631,7 @@ def _coherent(m: Msc, table: SatTable, cones: Mapping[str, Cone], seen) -> dict[
         states[e] = Coherent(
             clock, latest, before, view, var,
             ([b for b, _ in pairs], [x for _, x in pairs], [type(var[b][x]) for b, x in pairs]),
-            dict(m.val[e]), [type(v) for v in m.val[e].values()],
+            m.val[e].copy(), [type(v) for v in m.val[e].values()],
             (False,) * len(cones[me].steps) if prev is None else vals_of[prev],
             vals_of[e],
         )

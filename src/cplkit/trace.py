@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 from .msc import EVENT_TAGS, INT64_MAX, INT64_MIN, EventKind, Msc, Valuation, Value
 
@@ -76,7 +77,7 @@ def encode_valuation(val: Valuation) -> dict[str, dict[str, Value]]:
 def decode_valuation(obj: object, where: str) -> Valuation:
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where}: vars must be an object")
-    out: Valuation = {}
+    out: dict[str, Value] = {}
     for name, raw in obj.items():
         # Fast path for a well-formed entry; anything else takes the checks below.
         if type(raw) is dict and len(raw) == 1 and type(name) is str and name:
@@ -151,21 +152,13 @@ def parse_trace(data: object) -> Msc:
         eid, pid_e, kind_e, val_e = decode_event(ev, f"events[{i}]", lifeline_set)
         if eid in kind:
             raise TraceFormatError(f"events[{i}]: duplicate event id {eid}")
-        kind[eid], pid[eid], val[eid] = kind_e, pid_e, val_e
+        kind[eid], pid[eid], val[eid] = kind_e, pid_e, MappingProxyType(val_e)
     ids = list(kind)
 
     succ = _decode_pairs(data["succ"], "succ", set(ids))
     msg = _decode_pairs(data["messages"], "messages", set(ids))
 
-    return Msc(
-        lifelines=tuple(lifelines),
-        events=tuple(ids),
-        kind=kind,
-        pid=pid,
-        val=val,
-        succ=succ,
-        msg=msg,
-    )
+    return Msc._own(lifelines, ids, kind, pid, val, succ, msg)
 
 
 def _decode_pairs(obj: object, name: str, ids: set[int]) -> dict[int, int]:

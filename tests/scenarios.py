@@ -66,15 +66,15 @@ def gen_scenario(seed: int, depth: int = 2) -> dict:
 
 
 def chart_answers(m) -> dict:
-    """Per event: vector timestamp, last local event, local index, matching
-    send and the last visible event of every lifeline."""
+    """Per event: vector timestamp (read off the timestamp columns), last
+    local event, local index and the last visible event of every lifeline."""
+    columns = {b: m.timestamp_column(b) for b in m.lifelines}
     return {
         e: (
-            m.vector_timestamp(e),
+            {b: column[k] for b, column in columns.items()},
             m.last_loc(e),
             m.local_index(e),
-            m.matching_send(e),
             [m.last_visible(e, b) for b in m.lifelines],
         )
-        for e in m.events
+        for k, e in enumerate(m.events)
     }

@@ -162,11 +162,12 @@ def test_criterion_5_stale_candidate_fixture(capsys):
 def _verdict_map(m, g, ext):
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
     payloads = {}
+    send_of = {r: s for s, r in m.msg.items()}
     verdicts = {}
     for e in ext:
         incoming = None
         if m.kind[e].tag == "recv":
-            incoming = payloads[m.matching_send(e)]
+            incoming = payloads[send_of[e]]
         state, pay = on_event(
             monitors[m.pid[e]],
             EventDescriptor(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,9 @@ from cplkit.cli import main
 from cplkit.denot import SatTable, sat
 from cplkit.fixtures import fixture_path
 from cplkit.lang import MAX_NESTING, expand_derived, guard_cones, parse_guard
+from cplkit.msc import local_chains, topological_order
 from cplkit.simulator import FuzzParams, Scenario, load_scenario
+from cplkit.trace import dump_trace
 
 from oracles import brute_causal_count, chart, ev, reachability, vars_of
 from scenarios import gen_scenario
@@ -175,6 +178,19 @@ def test_check_builds_no_row(capsys, monkeypatch, event):
     monkeypatch.setattr(SatTable, "rows", forbidden)
     assert run(capsys, *argv) == expected
     assert expected[0] == 0 and len(json.loads(expected[1])) > 1
+
+
+@pytest.mark.parametrize("argv", [["check", "--guard", GUARD], ["explain", "--event", "5"]])
+def test_a_plain_trace_is_walked_once(capsys, tmp_path, argv):
+    """check and explain validate a plain trace, and that walk is the
+    chart's analysis: each chart pass runs once."""
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(dump_trace(load_scenario(MERGE).msc)))
+    with mock.patch("cplkit.msc.local_chains", wraps=local_chains) as chains, \
+            mock.patch("cplkit.msc.topological_order", wraps=topological_order) as order:
+        code, out, _ = run(capsys, argv[0], str(trace), *argv[1:])
+    assert code == 0 and out
+    assert (chains.call_count, order.call_count) == (1, 1)
 
 
 # ---------------------------------------------------------------------- #

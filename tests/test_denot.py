@@ -309,10 +309,10 @@ def test_sat_table_matches_reference_on_grown_charts():
             other = rng.choice([b for b in m.lifelines if b != owner])
             kinds = [EventKind("act"), EventKind("send", other), EventKind("choice")]
             first = max(m.events, default=-1) + 1
-            m = m.append_local(owner, [
+            m = m.grow([(owner, [
                 (first + i, kinds[i], {"x0": rng.choice(p.value_alphabet)})
                 for i in range(rng.randint(1, 3))
-            ])
+            ])])
         f = expand_derived(random_formula(rng, 3, m.lifelines, p), m.lifelines)
         assert_table_matches_reference(m, close_guards([f]))
 

@@ -294,11 +294,12 @@ def test_self_row_untouched_by_receive_merge():
         g = gen_random_formulas(p, m.lifelines)
         monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
         payloads = {}
+        send_of = {r: s for s, r in m.msg.items()}
         for e in sample_linear_extension(m, seed):
             state = monitors[m.pid[e]]
             incoming = None
             if m.kind[e].tag == "recv":
-                incoming = payloads[m.matching_send(e)]
+                incoming = payloads[send_of[e]]
                 assert incoming.vc.get(state.me, 0) <= state.vc[state.me]
                 row_before = state.view.get(state.me)
             d = EventDescriptor(
@@ -624,9 +625,10 @@ def coherent_states(owned):
         cones = oracle.cones
         monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
         payloads = {}
+        send_of = {r: s for s, r in m.msg.items()}
         for e in sample_linear_extension(m, seed):
             state = monitors[m.pid[e]]
-            incoming = payloads[m.matching_send(e)] if m.kind[e].tag == "recv" else None
+            incoming = payloads[send_of[e]] if m.kind[e].tag == "recv" else None
             d = EventDescriptor(kind=m.kind[e], store_after=m.val[e], incoming=incoming)
             begin_event(state, d)
             yield oracle, e, "pre", copy_state(state)

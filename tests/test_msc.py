@@ -1,6 +1,11 @@
 """Chart structure, well-formedness, and causal navigation."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -8,8 +13,8 @@ import pytest
 from cplkit.fixtures import fixture_path
 from cplkit.msc import MscError, validate_msc
 from cplkit.msc import EventKind, Msc, local_chains, topological_order
-from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario
-from cplkit.trace import dump_trace, load_trace
+from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario, run_scenario
+from cplkit.trace import dump_trace, load_trace, parse_trace
 
 from oracles import (
     all_topo_sorts,
@@ -21,7 +26,7 @@ from oracles import (
     ev,
     reachability,
 )
-from scenarios import chart_answers
+from scenarios import chart_answers, gen_scenario
 
 
 @pytest.fixture(scope="module")
@@ -135,17 +140,92 @@ def test_validator_agrees_with_brute_force_on_random_charts():
 
 
 def test_a_scenario_chart_is_walked_once():
-    """Validation's walk becomes the scenario chart's analysis: loading a
-    scenario and asking the first causal query runs each chart pass once.
-    On a chart of plain dicts, validation caches nothing."""
-    with mock.patch("cplkit.msc.local_chains", wraps=local_chains) as chains, \
-            mock.patch("cplkit.msc.topological_order", wraps=topological_order) as order:
-        m = load_scenario(fixture_path("merge_review")).msc
-        assert m.causal_leq(m.events[0], m.events[0])
-    assert (chains.call_count, order.call_count) == (1, 1)
-    plain = load_trace(dump_trace(m))
-    assert validate_msc(plain).ok and plain._vts is None
-    assert chart_answers(plain) == chart_answers(m)
+    """Validation's walk becomes the chart's analysis: a scenario's chart,
+    and a loaded trace once validated, answer every causal query after one
+    run of each chart pass."""
+    doc = dump_trace(load_scenario(fixture_path("merge_review")).msc)
+
+    def validated_trace():
+        m = load_trace(doc)
+        assert validate_msc(m).ok
+        return m
+
+    answers = []
+    for load in (lambda: load_scenario(fixture_path("merge_review")).msc, validated_trace):
+        with mock.patch("cplkit.msc.local_chains", wraps=local_chains) as chains, \
+                mock.patch("cplkit.msc.topological_order", wraps=topological_order) as order:
+            answers.append(chart_answers(load()))
+        assert (chains.call_count, order.call_count) == (1, 1)
+    assert answers[0] == answers[1]
+
+
+def assert_read_only(m):
+    """Every table, every valuation and every field of ``m`` refuses an edit."""
+    e = m.events[0]
+    for name in ("kind", "pid", "val", "succ", "msg"):
+        table = getattr(m, name)
+        with pytest.raises(TypeError):
+            table[e] = table.get(e)
+        with pytest.raises(AttributeError):
+            table.pop(e)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, {})
+    for v in m.val.values():
+        with pytest.raises(TypeError):
+            v["zz"] = 7
+        with pytest.raises(AttributeError):
+            v.clear()
+
+
+def test_every_chart_source_refuses_an_edit():
+    sc = load_scenario(gen_scenario(4))
+    log = run_scenario(sc, sc.guard_set(), 3)
+    parsed = parse_trace(dump_trace(sc.msc))
+    kind, val = dict(parsed.kind), {e: dict(v) for e, v in parsed.val.items()}
+    built = Msc(parsed.lifelines, parsed.events, kind, dict(parsed.pid), val,
+                dict(parsed.succ), dict(parsed.msg))
+    kind.clear()
+    val[0]["zz"] = 7  # the caller's dicts are copied, not shared
+    assert built == parsed
+    owner = parsed.pid[0]
+    grown = parsed.grow([(owner, [(100, EventKind("act"), {"x0": 1})])])
+    assert len(log.msc.events) > len(sc.msc.events)
+    for m in (parsed, gen_random_msc(FuzzParams(seed=3)), built, grown, sc.msc, log.msc):
+        assert_read_only(m)
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert clone == m and chart_answers(clone) == chart_answers(m)
+            assert_read_only(clone)
+
+
+def test_an_edit_fails_instead_of_leaving_a_stale_answer():
+    m = parse_trace(dump_trace(load_scenario(fixture_path("merge_review")).msc))
+    assert m.last_loc(5) == 4
+    with pytest.raises(AttributeError):
+        m.succ.pop(4)
+    assert m.last_loc(5) == 4 and validate_msc(m).ok
+
+
+def test_a_fresh_chart_answers_alike_from_many_threads():
+    """Threads racing to build one chart's analysis and Kahn's tables all
+    get the answers of a chart analysed alone."""
+    p = FuzzParams(lifelines=6, events_per_lifeline=40, message_prob=0.5, seed=9)
+    want = chart_answers(gen_random_msc(p))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            m, got = gen_random_msc(p), []
+            threads = [threading.Thread(target=lambda: got.append(
+                (chart_answers(m), m.scheduling_tables()))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert [a for a, _ in got] == [want] * 8
+            assert all(tables == m.scheduling_tables() for _, tables in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------- #
@@ -232,9 +312,10 @@ def test_last_visible_matches_filter_max_oracle():
 
 def test_timestamp_column_is_one_component_of_every_timestamp(merge):
     for m in [merge, *random_charts(40)]:
+        closure = reachability(m)
         for b in m.lifelines:
             column = m.timestamp_column(b)
-            assert column == [m.vector_timestamp(e)[b] for e in m.events]
+            assert column == [brute_causal_count(m, closure, e, b) for e in m.events]
             assert [m.events_of(b)[k - 1] if k else None for k in column] == [
                 m.last_visible(e, b) for e in m.events
             ]
@@ -342,9 +423,9 @@ def test_topological_order_skips_unknown_edges_and_stops_at_cycles():
         msg={0: 9},
     )
     assert topological_order(m) == [2, 1, 0]
-    m.succ[0] = 2  # closes a cycle
-    assert topological_order(m) == []
-    assert any(v.condition == "iv" for v in validate_msc(m).violations)
+    cyclic = Msc(m.lifelines, m.events, m.kind, m.pid, m.val, {**m.succ, 0: 2}, m.msg)
+    assert topological_order(cyclic) == []
+    assert any(v.condition == "iv" for v in validate_msc(cyclic).violations)
 
 
 def test_topological_order_picks_among_sorted_ready_events():
@@ -373,7 +454,7 @@ def test_local_chains_report_broken_lifelines():
 # Growth
 # ---------------------------------------------------------------------- #
 
-def test_append_local_carries_the_analysis_and_leaves_the_parent_unchanged():
+def test_grow_carries_the_analysis_and_leaves_the_parent_unchanged():
     for m in random_charts(40):
         before, text = chart_answers(m), dump_trace(m)
         for owner in m.lifelines:
@@ -386,7 +467,7 @@ def test_append_local_carries_the_analysis_and_leaves_the_parent_unchanged():
             ]
             # Only the parent's analysis may be used: no new Kahn pass.
             with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
-                grown = m.append_local(owner, arm)
+                grown = m.grow([(owner, arm)])
                 answers = chart_answers(grown)
             fresh = load_trace(dump_trace(grown))
             assert validate_msc(fresh).ok
@@ -406,7 +487,7 @@ def test_grow_equals_appending_its_arms_in_turn():
             arms.append((owner, [(i, kd, {"x0": seed}) for i, kd in zip(ids, kinds)]))
         stepwise = m
         for owner, arm in arms:
-            stepwise = stepwise.append_local(owner, arm)
+            stepwise = stepwise.grow([(owner, arm)])
         with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
             grown = m.grow(arms)
             answers = chart_answers(grown)
@@ -417,7 +498,7 @@ def test_grow_equals_appending_its_arms_in_turn():
         m.grow([(m.lifelines[0], []), ("Nobody", [])])
 
 
-def test_append_local_rejects_events_that_break_the_chart(merge):
+def test_grow_rejects_events_that_break_the_chart(merge):
     owner, other = merge.lifelines[:2]
     for arm, match in [
         ([(merge.events[0], EventKind("act"), {})], "already in the chart"),
@@ -427,7 +508,7 @@ def test_append_local_rejects_events_that_break_the_chart(merge):
         ([(99, EventKind("send", "Nobody"), {})], "another declared lifeline"),
     ]:
         with pytest.raises(MscError, match=match):
-            merge.append_local(owner, arm)
+            merge.grow([(owner, arm)])
     with pytest.raises(MscError, match="no such lifeline"):
-        merge.append_local("Nobody", [])
+        merge.grow([("Nobody", [])])
     assert 99 not in merge.kind and validate_msc(merge).ok

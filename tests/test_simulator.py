@@ -48,6 +48,7 @@ from cplkit.monitor import MUTATIONS
 from cplkit.trace import dump_trace, load_trace
 
 from oracles import all_topo_sorts, chart, ev, vars_of
+from scenarios import gen_scenario
 
 
 # ---------------------------------------------------------------------- #
@@ -103,14 +104,14 @@ def test_schedules_are_deterministic_per_seed():
 
 def test_schedules_reuse_the_charts_kahn_tables():
     """A scenario chart keeps the Kahn tables of its validating walk, an
-    analysed chart those of its analysis, and a grown chart builds them on
-    its first schedule. Every order equals the one sampled on a fresh
-    chart loaded from the dump, which builds its tables for every schedule."""
+    analysed chart those of its analysis, and a fresh or grown chart builds
+    them on its first schedule. Every order equals the one sampled on a
+    fresh chart loaded from the dump."""
     def fresh_orders(m):
         fresh = load_trace(dump_trace(m))
         with mock.patch("cplkit.msc.kahn_tables", wraps=kahn_tables) as built:
             orders = [sample_linear_extension(fresh, seed) for seed in range(20)]
-        assert built.call_count == 20 and fresh._vts is None
+        assert built.call_count == 1 and fresh._vts is None
         return orders
 
     sc = load_scenario(fixture_path("merge_review"))
@@ -120,9 +121,9 @@ def test_schedules_reuse_the_charts_kahn_tables():
         with mock.patch("cplkit.msc.kahn_tables", side_effect=AssertionError):
             orders = [sample_linear_extension(m, seed) for seed in range(20)]
         assert orders == fresh_orders(m)
-    grown = sc.msc.append_local("Committer", [
+    grown = sc.msc.grow([("Committer", [
         (100, EventKind("act"), {}), (101, EventKind("send", "TestRunner"), {}),
-    ])
+    ])])
     with mock.patch("cplkit.msc.kahn_tables", wraps=kahn_tables) as built:
         orders = [sample_linear_extension(grown, seed) for seed in range(20)]
     assert built.call_count == 1
@@ -339,13 +340,29 @@ def test_scenario_charts_are_read_only():
     assert log == run_scenario(fresh, fresh.guard_set(), 0).to_dict()
 
 
-def test_scenario_holds_its_own_copy_of_the_chart():
+def test_a_scenario_holds_the_read_only_chart_it_was_given():
     m = load_trace(chart(["A"], [ev(0, "A", "choice", vars_of(x=1))]))
     sc = Scenario(msc=m, guard_texts={0: "Here.x == 1"})
-    m.val[0]["x"] = 2
-    m.kind.clear()
-    assert sc.msc.val[0] == {"x": 1} and list(sc.msc.kind) == [0]
+    assert sc.msc is m
+    with pytest.raises(TypeError):
+        m.val[0]["x"] = 2
+    with pytest.raises(AttributeError):
+        m.kind.clear()
     assert [r["verdict"] for r in run_scenario(sc, sc.guard_set(), 0).records] == [True]
+
+
+def test_a_run_logs_chart_cannot_change_later_runs():
+    """The executed chart shares the scenario's continuations, read-only:
+    editing an appended event's valuation fails and later runs print the same log."""
+    sc = load_scenario(gen_scenario(4))
+    log = run_scenario(sc, sc.guard_set(), 3)
+    printed = log.to_dict()
+    appended = log.msc.events[len(sc.msc.events):]
+    assert appended
+    for e in appended:
+        with pytest.raises(TypeError):
+            log.msc.val[e]["zz"] = 7
+    assert run_scenario(sc, sc.guard_set(), 3).to_dict() == printed
 
 
 def test_run_scenario_needs_the_scenarios_own_guard_set():
@@ -604,11 +621,12 @@ def replay_verdicts(m, g, ext):
 
     monitors = {b: init_monitor(b, g, m.lifelines) for b in m.lifelines}
     payloads = {}
+    send_of = {r: s for s, r in m.msg.items()}
     verdicts = {}
     for e in ext:
         incoming = None
         if m.kind[e].tag == "recv":
-            incoming = payloads[m.matching_send(e)]
+            incoming = payloads[send_of[e]]
         state, pay = on_event(
             monitors[m.pid[e]],
             EventDescriptor(kind=m.kind[e], store_after=dict(m.val[e]), incoming=incoming),
