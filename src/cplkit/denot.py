@@ -32,14 +32,6 @@ from .lang import COMPARISONS, AtField, Formula, GuardSet, Lit, LocalVar, close_
 from .msc import Msc, Value
 
 
-def compare_values(op: str, a: Value | None, b: Value | None) -> bool:
-    """Atom comparison by :data:`~cplkit.lang.COMPARISONS`, with the
-    undefined-is-false rule; ValueError for an unknown ``op``."""
-    if op not in COMPARISONS:
-        raise ValueError(f"unknown comparison {op!r}")
-    return COMPARISONS[op](a, b)
-
-
 class SatTable(Mapping[int, tuple[bool, ...]]):
     """The truth of every subformula of a guard set at every event of a
     chart, kept as the columns :func:`sat_table` computed.

@@ -171,10 +171,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         stack.extend(children(node))
 
 
-def is_core(f: Formula) -> bool:
-    return all(not isinstance(n, DERIVED_NODES) for n in walk(f))
-
-
 # ---------------------------------------------------------------------- #
 # Parsing
 # ---------------------------------------------------------------------- #

@@ -170,19 +170,6 @@ class MonitorState:
     old: Row = ()
     vals: Row | None = None
 
-    @property
-    def last_vals(self) -> dict[int, bool]:
-        """Most recent verdict per guard this lifeline evaluates (by
-        position in the guard list)."""
-        if self.vals is None:
-            return {}
-        local = self.cone.local
-        return {
-            i: self.vals[local[p]]
-            for i, p in enumerate(self.guards.guard_pos)
-            if p in local
-        }
-
 
 def init_monitor(
     me: str,

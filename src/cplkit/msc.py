@@ -343,8 +343,8 @@ def _keep_analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> No
 
 
 #: Kahn's tables: each event's in-degree, its out-edges, and the sorted
-#: events of in-degree 0.
-KahnTables = tuple[dict[int, int], dict[int, list[int]], tuple[int, ...]]
+#: events of in-degree 0, read-only so that a kept copy serves every schedule.
+KahnTables = tuple[Mapping[int, int], Mapping[int, tuple[int, ...]], tuple[int, ...]]
 
 
 def kahn_tables(m: Msc) -> KahnTables:
@@ -357,7 +357,8 @@ def kahn_tables(m: Msc) -> KahnTables:
             if src in indeg and dst in indeg:
                 out[src].append(dst)
                 indeg[dst] += 1
-    return indeg, out, tuple(sorted(e for e, n in indeg.items() if n == 0))
+    ready = tuple(sorted(e for e, n in indeg.items() if n == 0))
+    return MappingProxyType(indeg), MappingProxyType({e: tuple(f) for e, f in out.items()}), ready
 
 
 def topological_order(m: Msc, pick=None, schedule: KahnTables | None = None) -> list[int]:

@@ -1,18 +1,19 @@
 """Deterministic asynchronous replay, random generation, differential checks.
 
-The simulator replays a chart along a sampled schedule (any total order
-consistent with the causal order), drives one monitor per lifeline (each
-evaluating only its cone of the guard set, :meth:`Scenario.cones`), routes
-message payloads along the matched send/receive edges, records guard
-verdicts at choice events, and optionally appends branch continuations
-chosen by those verdicts.
+One replay step serves the simulator and the differential harness alike:
+it runs one monitor per lifeline, each on its cone of the guard set,
+through the two phases of every event's update, and keeps each send's
+payload for its matched receive. The simulator replays a scenario along a
+sampled schedule (any total order consistent with the causal order) on
+the cones of :meth:`Scenario.cones`, records guard verdicts at choice
+events, and appends the branch continuations those verdicts choose.
 
-The differential harness replays a chart the same way and, at every
-event, compares every subformula value the monitor computed against the
-denotational table and checks the state's coherence before and after
-the evaluation phase (:func:`check_coherence`). Every expectation comes
-from one :class:`Oracle` per chart and guard set, which stores the state
-a coherent monitor holds at each event, its clock counted by a BFS
+The differential harness replays a chart along a given schedule with the
+same step: it checks the state's coherence between the two phases and
+after them (:func:`check_coherence`) and compares every subformula value
+the monitor computed against the denotational table. Every expectation
+comes from one :class:`Oracle` per chart and guard set, which stores the
+state a coherent monitor holds at each event, its clock counted by a BFS
 reachability pass without the vector-timestamp machinery: the checker
 compares whole states first and explains only a state that differs.
 
@@ -291,6 +292,30 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
 # Replay
 # ---------------------------------------------------------------------- #
 
+class _Replay:
+    """The one replay step (see the module docstring) on the monitors of
+    ``cones``: :meth:`begin` and then :meth:`finish` replay one event."""
+
+    def __init__(self, m: Msc, g: GuardSet, cones: Mapping[str, Cone], mutation: str | None):
+        self.monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
+        self.payloads: dict[int, MessagePayload] = {}  # by send event
+        self.send_of, self.mutation = {r: s for s, r in m.msg.items()}, mutation
+
+    def begin(self, e: int, owner: str, k: EventKind, v: Valuation) -> MonitorState:
+        """Phase 1 of event ``e`` on its owner's monitor, which it returns."""
+        incoming = self.payloads[self.send_of[e]] if k.tag == "recv" else None
+        state = self.state = self.monitors[owner]
+        desc = self.desc = EventDescriptor(k, v, incoming)
+        begin_event(state, desc, self.mutation)
+        return state
+
+    def finish(self, e: int) -> None:
+        """Phase 2 of the event :meth:`begin` started."""
+        payload = finish_event(self.state, self.desc, self.mutation)
+        if payload is not None:
+            self.payloads[e] = payload
+
+
 @dataclass
 class RunLog:
     """Everything one replay produced, unencoded until :meth:`to_dict`."""
@@ -338,26 +363,16 @@ def run_scenario(
     """
     if g is not sc.guard_set():
         raise ScenarioError("guard set is not this scenario's own sc.guard_set()")
-    guard_index_of = sc.guard_formulas()[1]
-    cones = sc.cones()
-    arms_of = sc._arms
-    m = sc.msc
-    monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
-    send_of = {r: s for s, r in m.msg.items()}
-    payloads: dict[int, MessagePayload] = {}
+    guard_index_of, arms_of, m = sc.guard_formulas()[1], sc._arms, sc.msc
+    replay = _Replay(m, g, sc.cones(), mutation)
     records: list[dict] = []
     taken: list[tuple[str, list[Decoded]]] = []
 
-    pid, kind, val = m.pid, m.kind, m.val
-    queue = [(e, pid[e], kind[e], val[e]) for e in sample_linear_extension(m, seed)]
+    queue = [(e, m.pid[e], m.kind[e], m.val[e]) for e in sample_linear_extension(m, seed)]
     for e, owner, k, v in queue:  # taken arms extend the queue as it is read
-        desc = EventDescriptor(k, v, payloads[send_of[e]] if k.tag == "recv" else None)
-        state = monitors[owner]
-        begin_event(state, desc, mutation)
-        payload = finish_event(state, desc, mutation)
+        state = replay.begin(e, owner, k, v)
+        replay.finish(e)
         record: dict = {"event": e, "lifeline": owner, "kind": k.tag}
-        if payload is not None:
-            payloads[e] = payload
         gidx = guard_index_of.get(e)
         if gidx is not None:
             verdict = state.vals[state.cone.local[g.guard_pos[gidx]]]
@@ -369,8 +384,8 @@ def run_scenario(
         records.append(record)
 
     m = m.grow(taken)
-    log = RunLog(order=[e for e, _, _, _ in queue], records=records, payloads=payloads,
-                 states=monitors, msc=m)
+    log = RunLog(order=[e for e, _, _, _ in queue], records=records,
+                 payloads=replay.payloads, states=replay.monitors, msc=m)
     if not m.is_linear_extension(log.order):
         raise ScenarioError("internal error: executed order is not a schedule")
     return log
@@ -851,26 +866,19 @@ def differential_check(
         oracle = prepare_oracle(m, g)
     if owners is not None:
         oracle = oracle.sliced(guard_cones(g, m.lifelines, owners))
-    monitors = {b: init_monitor(b, g, m.lifelines, oracle.cones[b]) for b in m.lifelines}
-    send_of = {r: s for s, r in m.msg.items()}
-    payloads: dict[int, MessagePayload] = {}
-
+    replay = _Replay(m, g, oracle.cones, mutation)
     for e in extension:
-        state, k = monitors[m.pid[e]], m.kind[e]
-        desc = EventDescriptor(k, m.val[e], payloads[send_of[e]] if k.tag == "recv" else None)
         try:  # check_coherence raises MonitorError only on misuse, not possible here
-            begin_event(state, desc, mutation)
+            state = replay.begin(e, m.pid[e], m.kind[e], m.val[e])
             coherence = check_coherence(state, oracle, e)
             if not coherence.ok:
                 report.coherence_failures.append({"event": e, "failures": coherence.failures()})
                 if fail_fast:
                     return report
-            payload = finish_event(state, desc, mutation)
+            replay.finish(e)
         except MonitorError as exc:
             report.invariant_failures.append({"event": e, "failures": [f"monitor raised: {exc}"]})
             return report
-        if payload is not None:
-            payloads[e] = payload
 
         steps, expected = state.cone.steps, oracle.states[e].vals
         report.events_checked += 1

@@ -8,8 +8,8 @@ memo-free recursion straight off the defining clauses.
 
 from __future__ import annotations
 
-from cplkit.denot import compare_values
 from cplkit.lang import (
+    COMPARISONS,
     And,
     At,
     Atom,
@@ -211,11 +211,9 @@ def _operand_value(m: Msc, e: int, x) -> Value | None:
 
 
 def eval_atom(m: Msc, e: int, a: Atom) -> bool:
-    """Truth of an atom at an event, by :func:`~cplkit.denot.compare_values`."""
+    """Truth of an atom at an event, by :data:`~cplkit.lang.COMPARISONS`."""
     m._check_event(e)
-    return compare_values(
-        a.op, _operand_value(m, e, a.left), _operand_value(m, e, a.right)
-    )
+    return COMPARISONS[a.op](_operand_value(m, e, a.left), _operand_value(m, e, a.right))
 
 
 # ---------------------------------------------------------------------- #

@@ -1,14 +1,17 @@
 """Generated scenarios (random charts with guarded choices and nested
-branch continuations, deterministic per seed) and a chart's answers to
-every causal query, for comparing charts built in different ways."""
+branch continuations, deterministic per seed), the replays many tests
+run, and a chart's answers to every causal query, for comparing charts
+built in different ways."""
 
 from __future__ import annotations
 
+from cplkit.fixtures import fixture_path
 from cplkit.lang import pretty
 from cplkit.rng import SplitMix64
-from cplkit.simulator import FuzzParams, gen_random_msc, random_formula
+from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario, random_formula
 from cplkit.trace import dump_trace, encode_value
 
+FIXTURES = ("merge_review", "merge_review_stale_candidate", "merge_review_failure_first")
 _STREAM = 0x3C6EF372FE94F82B  # offsets continuation draws from the chart's
 
 
@@ -63,6 +66,25 @@ def gen_scenario(seed: int, depth: int = 2) -> dict:
             if rng.random() < 0.7:
                 branch(e, m.pid[e], 1)
     return {**dump_trace(m), "guards": guards, "branches": branches}
+
+
+def replays():
+    """The three fixtures with seeds 0-9, and 200 generated scenarios."""
+    for name in FIXTURES:
+        sc = load_scenario(fixture_path(name))
+        for seed in range(10):
+            yield sc, seed
+    for seed in range(200):
+        yield load_scenario(gen_scenario(seed)), seed
+
+
+def guard_owners(sc) -> dict[int, str]:
+    """Each guard index's choice lifeline, also for a choice in a
+    continuation, read off the scenario's chart and branch events."""
+    pid = dict(sc.msc.pid)
+    for arms in sc.branches.values():
+        pid.update((ev["id"], ev["lifeline"]) for arm in arms for ev in arm)
+    return {i: pid[eid] for eid, i in sc.guard_formulas()[1].items()}
 
 
 def chart_answers(m) -> dict:

@@ -117,7 +117,7 @@ def test_a_lifeline_nobody_reads_runs_no_step_and_sends_empty_rows():
     s, payload = on_event(
         s, EventDescriptor(kind=EventKind("send", "A"), store_after={"x": 1, "y": 2})
     )
-    assert s.vals == () and s.last_vals == {}
+    assert s.vals == ()
     assert payload.to_wire() == {"vc": {"A": 0, "B": 0, "C": 1}, "view": {"C": "0"},
                                  "var": {"C": {}}}
     # B exports its one position and mirrors only y.
@@ -155,16 +155,21 @@ def test_guard_on_a_nested_continuation_choice_belongs_to_the_deciding_lifeline(
     assert [r["verdict"] for r in log.records if "verdict" in r] == [True, False]
 
 
-def test_last_vals_reports_the_guards_this_lifeline_evaluates():
+def test_a_lifeline_holds_the_values_of_the_guards_it_evaluates():
     g = guards_of("Here.x == 1", "Here.x == 2", "at(A, Here.x == 2)")
     cones = guard_cones(g, LIFELINES, {0: "A", 1: "B", 2: "B"})
+
+    def guard_values(s):
+        return {i: s.vals[s.cone.local[p]] for i, p in enumerate(g.guard_pos)
+                if p in s.cone.local}
+
     a = init_monitor("A", g, LIFELINES, cones["A"])
     a, _ = on_event(a, EventDescriptor(kind=EventKind("act"), store_after={"x": 1}))
     # A evaluates guard 1's formula too, because B reads it through at(A, ·).
-    assert a.last_vals == {0: True, 1: False}
+    assert guard_values(a) == {0: True, 1: False}
     b = init_monitor("B", g, LIFELINES, cones["B"])
     b, _ = on_event(b, EventDescriptor(kind=EventKind("act"), store_after={"x": 2}))
-    assert b.last_vals == {1: True, 2: False}
+    assert guard_values(b) == {1: True, 2: False}
 
 
 def test_whole_cones_run_the_whole_plan():

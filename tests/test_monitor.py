@@ -51,6 +51,11 @@ def act(store):
     return EventDescriptor(kind=EventKind("act"), store_after=store)
 
 
+def verdict(s, i):
+    """Guard ``i``'s value at the state's latest event."""
+    return s.vals[s.cone.local[s.guards.guard_pos[i]]]
+
+
 # ---------------------------------------------------------------------- #
 # init_monitor
 # ---------------------------------------------------------------------- #
@@ -81,7 +86,7 @@ def test_single_act_event():
     s, payload = on_event(s, act({"x": 1}))
     assert payload is None
     assert s.vc["A"] == 1
-    assert s.last_vals == {0: True}
+    assert verdict(s, 0) is True
 
 
 def test_merge_scenario_committer_sequence():
@@ -135,7 +140,7 @@ def test_merge_scenario_committer_sequence():
             store_after={"candidate": "rev-17"},
         ),
     )
-    assert s.last_vals[0] is True
+    assert verdict(s, 0) is True
     assert s.vc == {"Orchestrator": 1, "TestRunner": 1, "Committer": 3}
 
     # the late failure flips the verdict once delivered
@@ -147,7 +152,7 @@ def test_merge_scenario_committer_sequence():
             incoming=failure_update,
         ),
     )
-    assert s.last_vals[0] is False
+    assert verdict(s, 0) is False
 
 
 def test_monitor_matches_denotation_along_random_runs():
@@ -179,18 +184,18 @@ def test_yesterday_false_at_first_local_event():
     gs = guards_of("Y(Here.x == 1)")
     s = init_monitor("A", gs, LIFELINES)
     s, _ = on_event(s, act({"x": 1}))
-    assert s.last_vals[0] is False
+    assert verdict(s, 0) is False
     s, _ = on_event(s, act({"x": 2}))
-    assert s.last_vals[0] is True  # x was 1 at the previous event
+    assert verdict(s, 0) is True  # x was 1 at the previous event
 
 
 def test_at_self_equals_direct_evaluation():
     gs = guards_of("at(A, Here.x == 1)", "Here.x == 1")
     s = init_monitor("A", gs, LIFELINES)
     s, _ = on_event(s, act({"x": 1}))
-    assert s.last_vals[0] == s.last_vals[1] is True
+    assert verdict(s, 0) == verdict(s, 1) is True
     s, _ = on_event(s, act({"x": 0}))
-    assert s.last_vals[0] == s.last_vals[1] is False
+    assert verdict(s, 0) == verdict(s, 1) is False
 
 
 # ---------------------------------------------------------------------- #

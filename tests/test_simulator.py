@@ -25,6 +25,7 @@ from cplkit.lang import (
     Truth,
     Yesterday,
     close_guards,
+    guard_cones,
     parse_guard,
     pretty,
 )
@@ -48,7 +49,7 @@ from cplkit.monitor import MUTATIONS
 from cplkit.trace import dump_trace, load_trace
 
 from oracles import all_topo_sorts, chart, ev, vars_of
-from scenarios import gen_scenario
+from scenarios import gen_scenario, guard_owners, replays
 
 
 # ---------------------------------------------------------------------- #
@@ -128,6 +129,20 @@ def test_schedules_reuse_the_charts_kahn_tables():
         orders = [sample_linear_extension(grown, seed) for seed in range(20)]
     assert built.call_count == 1
     assert orders == fresh_orders(grown)
+
+
+def test_kept_kahn_tables_are_read_only():
+    """A caller cannot edit the Kahn tables a chart keeps for its schedules."""
+    m = load_scenario(fixture_path("merge_review")).msc
+    before = [sample_linear_extension(m, seed) for seed in range(10)]
+    indeg, out, ready = m.scheduling_tables()
+    with pytest.raises(AttributeError):
+        out[ready[0]].clear()
+    with pytest.raises(TypeError):
+        out[ready[0]] = []
+    with pytest.raises(TypeError):
+        indeg[ready[0]] = 1
+    assert [sample_linear_extension(m, seed) for seed in range(10)] == before
 
 
 # ---------------------------------------------------------------------- #
@@ -501,9 +516,9 @@ def test_guard_set_generation_is_deterministic_and_core():
     g1 = gen_random_formulas(p, ("L1", "L2"))
     g2 = gen_random_formulas(p, ("L1", "L2"))
     assert g1.sub == g2.sub
-    from cplkit.lang import is_core
+    from cplkit.lang import DERIVED_NODES, walk
 
-    assert all(is_core(f) for f in g1.formulas)
+    assert not any(isinstance(n, DERIVED_NODES) for f in g1.formulas for n in walk(f))
 
 
 # ---------------------------------------------------------------------- #
@@ -612,6 +627,30 @@ def test_replayed_stores_do_not_alias_chart_valuations(monkeypatch):
         s.store["x0"] = "changed"
         s.store["fresh"] = 1
     assert m.val == before
+
+
+def test_the_harness_checks_the_monitors_simulate_ships():
+    """The differential check on a replay's executed chart and order, taken
+    arms included, with each guard owned by its choice lifeline: these are
+    the cones ``run_scenario`` runs, and the check passes. Under each
+    mutation, on both replays, some replay diverges."""
+    caught = dict.fromkeys(MUTATIONS, 0)
+    runs = with_arms = 0
+    for sc, seed in replays():
+        g, owners = sc.guard_set(), guard_owners(sc)
+        assert guard_cones(g, sc.msc.lifelines, owners) == sc.cones()
+        log = run_scenario(sc, g, seed)
+        report = differential_check(log.msc, g, log.order, owners=owners)
+        assert report.ok, (seed, sc.guard_texts, report.to_dict())
+        runs += 1
+        with_arms += len(log.order) > len(sc.msc.events)
+        for mutation in MUTATIONS:
+            log = run_scenario(sc, g, seed, mutation)
+            caught[mutation] += not differential_check(
+                log.msc, g, log.order, mutation, fail_fast=True, owners=owners
+            ).ok
+    assert runs == 230 and with_arms > 50
+    assert all(caught.values()), caught
 
 
 def replay_verdicts(m, g, ext):

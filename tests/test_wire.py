@@ -16,20 +16,20 @@ from hypothesis import strategies as st
 
 from cplkit import simulator
 from cplkit.fixtures import fixture_path
-from cplkit.monitor import MessagePayload, MonitorError
-from cplkit.simulator import load_scenario, run_scenario
+from cplkit.monitor import MUTATIONS, MessagePayload, MonitorError
+from cplkit.simulator import fuzz_sweep, load_scenario, run_scenario
 
-from scenarios import gen_scenario
-
-FIXTURES = ("merge_review", "merge_review_stale_candidate", "merge_review_failure_first")
+from scenarios import FIXTURES, gen_scenario, replays
+from test_acceptance import SWEEP_PARAMS
 
 
 @contextmanager
 def payloads_via_wire():
-    """Within the block, ``run_scenario`` hands every receive the payload
-    decoded from the bytes of its JSON encoding, and each decoded payload
-    must equal the one emitted. Every cone of a run has the same widths,
-    so the sender's are the receiver's."""
+    """Within the block, the replay step of ``run_scenario`` and of
+    ``differential_check`` hands every receive the payload decoded from the
+    bytes of its JSON encoding, and each decoded payload must equal the one
+    emitted. Every cone of a run has the same widths, so the sender's are
+    the receiver's."""
     finish = simulator.finish_event
 
     def finish_via_wire(s, d, mutation=None):
@@ -62,16 +62,6 @@ def emitted_payloads():
 
     with mock.patch.object(simulator, "finish_event", recording):
         yield sent
-
-
-def replays():
-    """The three fixtures with seeds 0-9, and 200 generated scenarios."""
-    for name in FIXTURES:
-        sc = load_scenario(fixture_path(name))
-        for seed in range(10):
-            yield sc, seed
-    for seed in range(200):
-        yield load_scenario(gen_scenario(seed)), seed
 
 
 def test_printed_sizes_are_the_sizes_at_emission():
@@ -131,6 +121,19 @@ def test_generated_replays_via_wire_log_the_same():
         if scenarios == 200:
             break
     assert scenarios == 200 and verdicts > 400
+
+
+def test_differential_check_on_payloads_decoded_from_bytes():
+    """Acceptance-size instances pass the differential check when every
+    receive gets its payload back from bytes, and each mutation still
+    diverges."""
+    with payloads_via_wire(), emitted_payloads() as sent:
+        report = fuzz_sweep(SWEEP_PARAMS, seeds=200, extensions=2, keep_going=True)
+    assert report.ok and report.runs == 400, report.to_dict()
+    assert len(sent) > 800
+    for mutation in MUTATIONS:
+        with payloads_via_wire():
+            assert not fuzz_sweep(SWEEP_PARAMS, seeds=200, extensions=1, mutation=mutation).ok
 
 
 JSON = st.recursive(
