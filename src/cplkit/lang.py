@@ -32,7 +32,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .msc import INT64_MAX, INT64_MIN, Value
 
@@ -148,10 +148,6 @@ Formula = Union[
     Truth, Atom, At, Yesterday, Since, And, Or, Not, PastAt, PastAny, Seen
 ]
 
-CORE_NODES = (Truth, Atom, At, Yesterday, Since, And, Or, Not)
-DERIVED_NODES = (PastAt, PastAny, Seen)
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (At, Yesterday, Not, PastAt, PastAny)):
         return (f.body,)
@@ -160,15 +156,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (And, Or)):
         return (f.left, f.right)
     return ()
-
-
-def walk(f: Formula) -> Iterator[Formula]:
-    """All nodes of the tree, parents before children."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(children(node))
 
 
 # ---------------------------------------------------------------------- #

@@ -29,8 +29,8 @@ Processing one event runs in two phases:
 
 The "is the sender ahead?" test in phase 1 must read the receiver's
 clock before the merge changes it: joining first would make it never
-fire. ``mutation`` arguments deliberately break one such detail each, to
-prove the differential harness notices; see :data:`MUTATIONS`.
+fire. The differential harness replays variants that break one such
+detail each (:data:`MUTATIONS`) in place of phase 1, to prove it notices.
 
 View rows are tuples, value rows are small dicts; a row for lifeline
 ``B`` exists exactly when the clock component for ``B`` is positive.
@@ -51,14 +51,8 @@ from .trace import TraceFormatError, decode_valuation, encode_valuation
 
 Row = tuple[bool, ...]
 
-#: Deliberate algorithm defects selectable in fuzzing, each breaking one
-#: detail the correct update fixes:
-#:   swap-merge-order — join vector clocks before copying rows, so the
-#:       ahead-test never fires and remote views go stale;
-#:   strict-at        — evaluate at(Me, f) at the previous local event
-#:       instead of the current one;
-#:   live-old         — let Y read this event's freshly computed values
-#:       instead of the previous-event snapshot.
+#: Deliberate algorithm defects the differential harness can replay in
+#: place of phase 1, to show that it catches each (see :mod:`cplkit.simulator`).
 MUTATIONS = ("swap-merge-order", "strict-at", "live-old")
 
 
@@ -155,15 +149,16 @@ class EventDescriptor:
 
 @dataclass
 class MonitorState:
-    """Runtime state of one lifeline's monitor. ``vals`` are the values
-    of the cone's steps at the latest event, ``old`` those at the event
-    before it (all false before the first)."""
+    """Runtime state of one lifeline's monitor, which runs ``program`` (its
+    cone's). ``vals`` are the values of its steps at the latest event,
+    ``old`` those at the event before it (all false before the first)."""
 
     me: str
     guards: GuardSet
     lifelines: tuple[str, ...]
     vc: dict[str, int]
     cone: Cone
+    program: tuple
     view: dict[str, Row] = field(default_factory=dict)
     var: dict[str, dict[str, Value]] = field(default_factory=dict)
     store: dict[str, Value] = field(default_factory=dict)
@@ -191,22 +186,21 @@ def init_monitor(
         lifelines=tuple(lifelines),
         vc={b: 0 for b in lifelines},
         cone=cone,
+        program=cone.program,
         old=(False,) * len(cone.steps),
     )
 
 
-def begin_event(
-    s: MonitorState, d: EventDescriptor, mutation: str | None = None
-) -> None:
+def begin_event(s: MonitorState, d: EventDescriptor) -> None:
     """Phase 1 of the event update: merge, snapshot, tick, install store."""
-    if mutation is not None and mutation not in MUTATIONS:
-        raise MonitorError(f"unknown mutation {mutation!r}")
-    _check_descriptor(s, d)
+    if d.kind.tag == "recv" and d.incoming is None:
+        raise MonitorError("receive event without an incoming payload")
+    if d.kind.tag != "recv" and d.incoming is not None:
+        raise MonitorError("incoming payload on a non-receive event")
+    if d.kind.tag == "send" and d.kind.receiver == s.me:
+        raise MonitorError("send event addressed to its own lifeline")
     if d.kind.tag == "recv":
         mu = d.incoming
-        if mutation == "swap-merge-order":
-            for b in s.lifelines:
-                s.vc[b] = max(s.vc[b], mu.vc.get(b, 0))
         ahead = [b for b in s.lifelines if mu.vc.get(b, 0) > s.vc[b]]
         widths = s.cone.widths
         for b in ahead:
@@ -230,11 +224,9 @@ def begin_event(
     s.var[s.me] = {x: s.store[x] for x in s.cone.mirror if x in s.store}
 
 
-def finish_event(
-    s: MonitorState, d: EventDescriptor, mutation: str | None = None
-) -> MessagePayload | None:
+def finish_event(s: MonitorState, d: EventDescriptor) -> MessagePayload | None:
     """Phase 2: run the cone's plan, publish the exported row, emit."""
-    vals = s.vals = tuple(_run_plan(s, mutation))
+    vals = s.vals = tuple(_run_plan(s))
     cone = s.cone
     s.view[s.me] = vals if cone.whole else tuple(map(vals.__getitem__, cone.export))
 
@@ -244,33 +236,22 @@ def finish_event(
 
 
 def on_event(
-    s: MonitorState, d: EventDescriptor, mutation: str | None = None
+    s: MonitorState, d: EventDescriptor
 ) -> tuple[MonitorState, MessagePayload | None]:
     """Process one event of this monitor's lifeline; returns the (mutated)
     state and, for sends, the payload to attach to the outgoing message."""
-    begin_event(s, d, mutation)
-    return s, finish_event(s, d, mutation)
+    begin_event(s, d)
+    return s, finish_event(s, d)
 
 
-def _check_descriptor(s: MonitorState, d: EventDescriptor) -> None:
-    if d.kind.tag == "recv" and d.incoming is None:
-        raise MonitorError("receive event without an incoming payload")
-    if d.kind.tag != "recv" and d.incoming is not None:
-        raise MonitorError("incoming payload on a non-receive event")
-    if d.kind.tag == "send" and d.kind.receiver == s.me:
-        raise MonitorError("send event addressed to its own lifeline")
-
-
-def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
-    """Values of every step of the cone's plan. Child values come from
+def _run_plan(s: MonitorState) -> list[bool]:
+    """Values of every step of ``s.program``. Child values come from
     the list being built; ``Y`` and ``S`` read ``s.old``, which is all
     false at the first local event."""
     me, view, old = s.me, s.view, s.old
-    strict_at = mutation == "strict-at"
     vals: list[bool] = []
-    y_row = vals if mutation == "live-old" and s.vc[me] > 1 else old
     push = vals.append
-    steps, literals, reads = s.cone.program
+    steps, literals, reads = s.program
     src = [literals, s.store, *[s.var.get(b, {}) for b in reads]]
     for op, a, b in steps:
         if op == "atom":
@@ -286,15 +267,12 @@ def _run_plan(s: MonitorState, mutation: str | None) -> list[bool]:
             v = vals[b] or (vals[a] and old[len(vals)])
         elif op == "at":
             if b == me:
-                v = old[a] if strict_at else vals[a]
-            else:
-                # A row exists exactly when b's clock is positive; a mutated
-                # monitor can get here with no row at a positive clock,
-                # which must surface as a wrong verdict rather than a crash.
+                v = vals[a]
+            else:  # b has no row while unseen: at(b, f) is false
                 row = view.get(b)
                 v = row is not None and row[a]
         elif op == "Y":
-            v = y_row[a]
+            v = old[a]
         else:  # "true"
             v = True
         push(v)

@@ -24,6 +24,7 @@ run replays exactly from its seed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
@@ -292,26 +293,59 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
 # Replay
 # ---------------------------------------------------------------------- #
 
+def _swap_merge_order(s: MonitorState, d: EventDescriptor) -> None:
+    """Phase 1 after joining the clocks, so that its ahead-test never fires."""
+    if d.kind.tag == "recv":
+        for b in s.lifelines:
+            s.vc[b] = max(s.vc[b], d.incoming.vc.get(b, 0))
+    begin_event(s, d)
+
+
+def _rewriting(op_from: str, op_to: str, event: int):
+    """Phase 1, which at the ``event``-th local event makes each ``op_from``
+    step on the monitor's own values an ``op_to`` step of the same child."""
+    def phase1(s: MonitorState, d: EventDescriptor) -> None:
+        begin_event(s, d)
+        if s.vc[s.me] == event:  # own values: every Y step, at steps on s.me
+            s.program = tuple(
+                (op_to, a, a) if op == op_from and b in (None, s.me) else (op, a, b)
+                for op, a, b in s.program[0]
+            ), *s.program[1:]
+
+    return phase1
+
+
+#: Per name in :data:`~cplkit.monitor.MUTATIONS`, the phase 1 a replay runs
+#: instead of ``begin_event``, each breaking one detail the update fixes.
+_MUTANTS = {
+    "swap-merge-order": _swap_merge_order,  # the remote views go stale
+    "strict-at": _rewriting("at", "Y", 1),  # at(Me, f) reads f at the previous local event
+    "live-old": _rewriting("Y", "and", 2),  # Y f reads f at this event
+}
+
+
 class _Replay:
     """The one replay step (see the module docstring) on the monitors of
     ``cones``: :meth:`begin` and then :meth:`finish` replay one event."""
 
     def __init__(self, m: Msc, g: GuardSet, cones: Mapping[str, Cone], mutation: str | None):
+        if mutation is not None and mutation not in _MUTANTS:
+            raise MonitorError(f"unknown mutation {mutation!r}")
         self.monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
         self.payloads: dict[int, MessagePayload] = {}  # by send event
-        self.send_of, self.mutation = {r: s for s, r in m.msg.items()}, mutation
+        self.send_of, self.mutant = {r: s for s, r in m.msg.items()}, _MUTANTS.get(mutation)
 
     def begin(self, e: int, owner: str, k: EventKind, v: Valuation) -> MonitorState:
         """Phase 1 of event ``e`` on its owner's monitor, which it returns."""
         incoming = self.payloads[self.send_of[e]] if k.tag == "recv" else None
         state = self.state = self.monitors[owner]
         desc = self.desc = EventDescriptor(k, v, incoming)
-        begin_event(state, desc, self.mutation)
+        (self.mutant or begin_event)(state, desc)
         return state
 
     def finish(self, e: int) -> None:
         """Phase 2 of the event :meth:`begin` started."""
-        payload = finish_event(self.state, self.desc, self.mutation)
+        payload = finish_event(self.state, self.desc)
         if payload is not None:
             self.payloads[e] = payload
 
@@ -939,18 +973,19 @@ def fuzz_sweep(
     Seeds are derived from ``base.seed`` by a split stream, so any failing
     instance replays exactly. Stops at the first divergence unless
     ``keep_going``; ``jobs > 1`` spreads instances over up to ``jobs``
-    processes (results are aggregated in seed order either way).
+    processes, at most one per seed and per core (aggregated in seed order).
     """
     started = time.monotonic()
     seed_rng = SplitMix64(base.seed)
     params = [replace(base, seed=seed_rng.next_u64()) for _ in range(seeds)]
     total = DifferentialReport()
     pool = None
-    if jobs > 1 and seeds > 1:
+    workers = min(jobs, seeds, os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the pool's modules add about 24 ms to start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(jobs, seeds))
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or nullcontext():
         for part in (pool.map if pool else map)(
             fuzz_instance, params, repeat(extensions), repeat(mutation),

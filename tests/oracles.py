@@ -8,6 +8,8 @@ memo-free recursion straight off the defining clauses.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from cplkit.lang import (
     COMPARISONS,
     And,
@@ -24,6 +26,7 @@ from cplkit.lang import (
     Since,
     Truth,
     Yesterday,
+    children,
 )
 from cplkit.msc import Msc, Value
 
@@ -139,6 +142,15 @@ def _compare(op, a, b):
     if type(a) is not int or type(b) is not int:
         return False
     return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+
+
+def walk(f) -> Iterator:
+    """All nodes of the formula tree, parents before children."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node))
 
 
 def naive_sat(m: Msc, closure, e: int, f) -> bool:

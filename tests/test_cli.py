@@ -455,9 +455,9 @@ def adopt_rows_on_equal_clocks():
     return namespace["begin_event"]
 
 
-def alias_payload_clock(s, d, mutation=None):
+def alias_payload_clock(s, d):
     """``finish_event`` whose payload shares the sender's live clock."""
-    payload = monitor.finish_event(s, d, mutation)
+    payload = monitor.finish_event(s, d)
     if payload is not None:
         payload.vc = s.vc
     return payload

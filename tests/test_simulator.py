@@ -3,13 +3,15 @@
 import collections
 import dataclasses
 import gc
+import inspect
 import json
+import os
 import time
 from unittest import mock
 
 import pytest
 
-from cplkit import simulator
+from cplkit import monitor, simulator
 from cplkit.denot import sat
 from cplkit.fixtures import fixture_path
 from cplkit.lang import (
@@ -45,10 +47,10 @@ from cplkit.simulator import (
     run_scenario,
     sample_linear_extension,
 )
-from cplkit.monitor import MUTATIONS
+from cplkit.monitor import MUTATIONS, MonitorError, begin_event, finish_event, on_event
 from cplkit.trace import dump_trace, load_trace
 
-from oracles import all_topo_sorts, chart, ev, vars_of
+from oracles import all_topo_sorts, chart, ev, vars_of, walk
 from scenarios import gen_scenario, guard_owners, replays
 
 
@@ -516,9 +518,8 @@ def test_guard_set_generation_is_deterministic_and_core():
     g1 = gen_random_formulas(p, ("L1", "L2"))
     g2 = gen_random_formulas(p, ("L1", "L2"))
     assert g1.sub == g2.sub
-    from cplkit.lang import DERIVED_NODES, walk
-
-    assert not any(isinstance(n, DERIVED_NODES) for f in g1.formulas for n in walk(f))
+    derived = (PastAt, PastAny, Seen)
+    assert not any(isinstance(n, derived) for f in g1.formulas for n in walk(f))
 
 
 # ---------------------------------------------------------------------- #
@@ -606,15 +607,42 @@ def test_checks_read_nothing_but_the_oracle(monkeypatch):
     assert caught == set(MUTATIONS)
 
 
+def test_an_unknown_mutation_is_a_caller_error(monkeypatch):
+    """Each entry point raises on a mutation name outside ``MUTATIONS``
+    before replaying any event, instead of reporting divergences."""
+    monkeypatch.setattr(simulator, "begin_event", None)  # a replayed event would fail
+    p = FuzzParams(seed=1)
+    m = gen_random_msc(p)
+    g = gen_random_formulas(p, m.lifelines)
+    sc = load_scenario(fixture_path("merge_review"))
+    calls = [
+        lambda: differential_check(m, g, sample_linear_extension(m, 0), "nonsense"),
+        lambda: run_scenario(sc, sc.guard_set(), 0, "nonsense"),
+        lambda: fuzz_sweep(p, seeds=3, extensions=1, mutation="nonsense", keep_going=True),
+    ]
+    for call in calls:
+        with pytest.raises(MonitorError, match="^unknown mutation 'nonsense'$"):
+            call()
+
+
+def test_the_mutants_are_phase_1_functions_outside_the_monitor():
+    """One phase 1 per name, in ``MUTATIONS`` order; the monitor's own
+    update takes no mutation argument."""
+    assert tuple(simulator._MUTANTS) == MUTATIONS
+    for fn in (begin_event, finish_event, on_event):
+        assert list(inspect.signature(fn).parameters) == ["s", "d"]
+    assert list(inspect.signature(monitor._run_plan).parameters) == ["s"]
+
+
 def test_replayed_stores_do_not_alias_chart_valuations(monkeypatch):
     """The replay hands each monitor the chart's own valuation; the
     monitor's store must be a copy of it."""
     states = []
     begin = simulator.begin_event
 
-    def recording(s, d, mutation=None):
+    def recording(s, d):
         states.append(s)
-        begin(s, d, mutation)
+        begin(s, d)
 
     monkeypatch.setattr(simulator, "begin_event", recording)
     p = FuzzParams(seed=5)
@@ -752,8 +780,9 @@ def test_differential_check_is_one_run_and_reports_fold():
 
 
 def test_fuzz_sweep_pool_gets_at_most_one_worker_per_seed(monkeypatch):
-    """The pool is sized ``min(jobs, seeds)``; a stand-in executor records
-    it and maps in this process, so no worker is started."""
+    """The pool is sized ``min(jobs, seeds, os.cpu_count())``, and not made
+    below two workers; a stand-in executor records it and maps in this
+    process, so no worker is started."""
     import concurrent.futures
 
     made = []
@@ -774,6 +803,7 @@ def test_fuzz_sweep_pool_gets_at_most_one_worker_per_seed(monkeypatch):
             self.shut = True
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     pooled = fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=8)
     assert [(r.max_workers, r.shut) for r in made] == [(3, True)]
     serial = fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=1)
@@ -783,6 +813,19 @@ def test_fuzz_sweep_pool_gets_at_most_one_worker_per_seed(monkeypatch):
     }
     fuzz_sweep(FuzzParams(seed=2), seeds=1, extensions=1, jobs=8)
     assert len(made) == 1  # one instance needs no pool
+
+    # Never more workers than cores, and no pool on one core (or an unknown count).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = [fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=8)]
+    assert [r.max_workers for r in made] == [3, 2]
+    for cores in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda c=cores: c)
+        reports.append(fuzz_sweep(FuzzParams(seed=2), seeds=3, extensions=2, jobs=8))
+    assert len(made) == 2
+    for report in reports:
+        assert report.to_dict() | {"elapsed_seconds": 0} == serial.to_dict() | {
+            "elapsed_seconds": 0
+        }
 
 
 @pytest.mark.parametrize("key, value", [("guards", 5), ("branches", 7), ("guards", {})])

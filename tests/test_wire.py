@@ -32,8 +32,8 @@ def payloads_via_wire():
     the receiver's."""
     finish = simulator.finish_event
 
-    def finish_via_wire(s, d, mutation=None):
-        sent = finish(s, d, mutation)
+    def finish_via_wire(s, d):
+        sent = finish(s, d)
         if sent is None:
             return None
         data = json.dumps(sent.to_wire()).encode("utf-8")
@@ -53,8 +53,8 @@ def emitted_payloads():
     finish = simulator.finish_event
     sent = []
 
-    def recording(s, d, mutation=None):
-        p = finish(s, d, mutation)
+    def recording(s, d):
+        p = finish(s, d)
         if p is not None:
             size = len(json.dumps(p.to_wire(), sort_keys=True, separators=(",", ":")))
             sent.append((p, copy.deepcopy(p), size))
