@@ -98,9 +98,6 @@ class Msc:
     _by_lifeline: dict[str, tuple[int, ...]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _local_idx: dict[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _vts: dict[int, dict[str, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -112,11 +109,10 @@ class Msc:
                 dict(self.succ), dict(self.msg))
 
     @classmethod
-    def _own(cls, lifelines, events, kind, pid, val, succ, msg, **analysis) -> "Msc":
+    def _own(cls, lifelines, events, kind, pid, val, succ, msg) -> "Msc":
         """A chart over dicts built for it alone, each valuation read-only
         already: the tables are frozen where they are, not copied."""
-        return _freeze(object.__new__(cls), lifelines, events, kind, pid, val, succ, msg,
-                       **analysis)
+        return _freeze(object.__new__(cls), lifelines, events, kind, pid, val, succ, msg)
 
     def __reduce__(self):
         """Pickle and copy a chart as the call that builds it again (its
@@ -138,16 +134,15 @@ class Msc:
             return True
         # f's causal past contains e iff it contains at least local_index(e)
         # events of e's lifeline (causal pasts are local prefixes).
-        return self._vts[f].get(self.pid[e], 0) >= self._local_idx[e]
+        return self._vts[f].get(self.pid[e], 0) >= self._vts[e][self.pid[e]]
 
     def last_loc(self, e: int) -> int | None:
         """The immediate local predecessor of ``e``, or None if ``e`` is first."""
         self._check_event(e)
         self._ensure_analysis()
-        k = self._local_idx[e]
-        if k == 1:
-            return None
-        return self._by_lifeline[self.pid[e]][k - 2]
+        b = self.pid[e]
+        k = self._vts[e][b]
+        return None if k == 1 else self._by_lifeline[b][k - 2]
 
     def last_visible(self, e: int, b: str) -> int | None:
         """The latest event of lifeline ``b`` in the causal past of ``e``.
@@ -167,7 +162,7 @@ class Msc:
         """Position of ``e`` on its own lifeline, counting from 1."""
         self._check_event(e)
         self._ensure_analysis()
-        return self._local_idx[e]
+        return self._vts[e][self.pid[e]]
 
     def events_of(self, b: str) -> tuple[int, ...]:
         """Events of lifeline ``b`` in local order."""
@@ -212,23 +207,18 @@ class Msc:
         and chained in order after ``owner``'s last event so far. New
         events follow this chart's in ``events``, in arm order.
 
-        Receives cannot be appended (their send would be missing), so the
-        new events see nothing beyond their owner's past and the analysis
-        carries over: each owner's chain, local indices and timestamps are
-        extended, and this chart's valuations and every other table are
-        shared. Each new valuation is kept as a read-only copy.
+        Receives cannot be appended (their send would be missing). This
+        chart's valuations are shared and each new valuation is kept as a
+        read-only copy. Growing runs no chart pass: like every chart built
+        in code, the grown chart is analysed by its first causal query.
         """
         for owner, _ in arms:
             self._check_lifeline(owner)
         self._ensure_analysis()
-        kind, pid, val = self.kind.copy(), self.pid.copy(), self.val.copy()
-        succ, local_idx, vts = self.succ.copy(), self._local_idx.copy(), self._vts.copy()
-        chains: dict[str, list[int]] = {}
+        kind, pid, val, succ = self.kind.copy(), self.pid.copy(), self.val.copy(), self.succ.copy()
+        last = {b: chain[-1] for b, chain in self._by_lifeline.items() if chain}
         for owner, events in arms:
-            chain = chains.get(owner)
-            if chain is None:
-                chain = chains[owner] = list(self._by_lifeline[owner])
-            ts = vts[chain[-1]] if chain else {}
+            prev = last.get(owner)
             for eid, k, v in events:
                 if eid in kind:
                     raise MscError(f"event {eid} is already in the chart")
@@ -237,19 +227,11 @@ class Msc:
                 if k.tag == "send" and (k.receiver == owner or k.receiver not in self.lifelines):
                     raise MscError(f"send {eid} must go to another declared lifeline")
                 kind[eid], pid[eid], val[eid] = k, owner, MappingProxyType(dict(v))
-                if chain:
-                    succ[chain[-1]] = eid
-                chain.append(eid)
-                local_idx[eid] = len(chain)
-                ts = vts[eid] = {**ts, owner: len(chain)}
-        return Msc._own(
-            self.lifelines,
-            self.events + tuple(eid for _, arm in arms for eid, _, _ in arm),
-            kind, pid, val, succ, self.msg.copy(),
-            _by_lifeline={**self._by_lifeline, **{b: tuple(c) for b, c in chains.items()}},
-            _local_idx=local_idx,
-            _vts=vts,
-        )
+                if prev is not None:
+                    succ[prev] = eid
+                prev = last[owner] = eid
+        new = tuple(eid for _, arm in arms for eid, _, _ in arm)
+        return Msc._own(self.lifelines, self.events + new, kind, pid, val, succ, self.msg.copy())
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -269,7 +251,7 @@ class Msc:
         chains, broken = local_chains(self)
         if broken:
             raise MscError(f"lifeline {broken[0]!r} is not a single chain")
-        order = topological_order(self, schedule=self.scheduling_tables())
+        order = topological_order(self)
         if len(order) != len(self.events):
             raise MscError("event graph is cyclic")
         _keep_analysis(self, chains, order)
@@ -282,12 +264,12 @@ class Msc:
         return self._schedule
 
 
-def _freeze(m: Msc, lifelines, events, kind, pid, val, succ, msg, **analysis) -> Msc:
+def _freeze(m: Msc, lifelines, events, kind, pid, val, succ, msg) -> Msc:
     """``m`` with its fields set to read-only views over the given dicts."""
     m.__dict__.update(
         lifelines=tuple(lifelines), events=tuple(events), kind=MappingProxyType(kind),
         pid=MappingProxyType(pid), val=MappingProxyType(val), succ=MappingProxyType(succ),
-        msg=MappingProxyType(msg), **analysis,
+        msg=MappingProxyType(msg),
     )
     return m
 
@@ -325,21 +307,21 @@ def local_chains(m: Msc) -> tuple[dict[str, list[int]], list[str]]:
 
 def _keep_analysis(m: Msc, chains: dict[str, list[int]], order: list[int]) -> None:
     """Keep on ``m`` the causal-query tables of its single ``chains`` and its
-    complete topological ``order``, ``_vts`` last."""
-    by_lifeline = {b: tuple(chain) for b, chain in chains.items()}
-    local_idx = {e: i for chain in chains.values() for i, e in enumerate(chain, 1)}
+    complete topological ``order``, ``_vts`` last: the one stamping of vector
+    timestamps. The order reaches each event right after its local
+    predecessor, so it takes its lifeline's latest stamp so far, joins its
+    matched send's on a receive, and counts itself."""
     msg_rev = {r: s for s, r in m.msg.items()}
     vts: dict[int, dict[str, int]] = {}
+    latest: dict[str, dict[str, int]] = {}
     for e in order:
-        k = local_idx[e]
-        ts = dict(vts[by_lifeline[m.pid[e]][k - 2]]) if k > 1 else {}
+        me = m.pid[e]
+        ts = dict(latest.get(me, ()))
         if m.kind[e].tag == "recv" and e in msg_rev:
-            for b, n in vts[msg_rev[e]].items():
-                if n > ts.get(b, 0):
-                    ts[b] = n
-        ts[m.pid[e]] = k
-        vts[e] = ts
-    m.__dict__.update(_by_lifeline=by_lifeline, _local_idx=local_idx, _vts=vts)
+            ts.update((b, n) for b, n in vts[msg_rev[e]].items() if n > ts.get(b, 0))
+        ts[me] = ts.get(me, 0) + 1
+        vts[e] = latest[me] = ts
+    m.__dict__.update(_by_lifeline={b: tuple(c) for b, c in chains.items()}, _vts=vts)
 
 
 #: Kahn's tables: each event's in-degree, its out-edges, and the sorted
@@ -361,12 +343,13 @@ def kahn_tables(m: Msc) -> KahnTables:
     return MappingProxyType(indeg), MappingProxyType({e: tuple(f) for e, f in out.items()}), ready
 
 
-def topological_order(m: Msc, pick=None, schedule: KahnTables | None = None) -> list[int]:
-    """Kahn's algorithm over ``schedule``, by default :func:`kahn_tables`
-    of ``m``, which it leaves unchanged. The ready list is kept sorted and
-    ``pick(n)`` chooses which of its ``n`` events goes next (default: the
-    smallest id). On a cyclic graph the order misses the cycle's events."""
-    indeg, out, ready = schedule or kahn_tables(m)
+def topological_order(m: Msc, pick=None) -> list[int]:
+    """Kahn's algorithm over the chart's kept :func:`kahn_tables`
+    (:meth:`Msc.scheduling_tables`), which it leaves unchanged. The ready
+    list is kept sorted and ``pick(n)`` chooses which of its ``n`` events
+    goes next (default: the smallest id). On a cyclic graph the order
+    misses the cycle's events."""
+    indeg, out, ready = m.scheduling_tables()
     indeg, ready = indeg.copy(), list(ready)
     order: list[int] = []
     while ready:
@@ -468,7 +451,7 @@ def validate_msc(m: Msc) -> MscReport:
         if m.kind[e].tag == "recv" and e not in recv_matches:
             bad.append(Violation("iii", "receive event has no matching send", (e,)))
 
-    order = topological_order(m, schedule=m.scheduling_tables())
+    order = topological_order(m)
     if len(order) != len(m.events):
         bad.append(Violation("iv", "successor/message graph is cyclic"))
     elif not broken and m._vts is None:

@@ -231,9 +231,9 @@ def _decode_branches(
     schema, not a receive, with an id used by no chart event and no other
     continuation event, on the lifeline of the choice that takes its
     branch (for choices inside continuations too). Guards must sit on
-    choice events of the chart or of a continuation. Returns the decoded
-    ``(then, else)`` events per branching choice, and the lifeline of each
-    guarded choice."""
+    choice events of the chart or of a continuation, one on each
+    branching choice. Returns the decoded ``(then, else)`` events per
+    branching choice, and the lifeline of each guarded choice."""
     lifelines = set(sc.msc.lifelines)
     pid, kind = sc.msc.pid.copy(), sc.msc.kind.copy()
     decoded: dict[int, tuple[list[Decoded], list[Decoded]]] = {}
@@ -262,8 +262,8 @@ def _decode_branches(
         if kind[eid].tag != "choice":
             raise ScenarioError(f"guard on non-choice event {eid}")
     for c, arms in decoded.items():
-        if c not in pid:
-            raise ScenarioError(f"branch at unknown event {c}")
+        if c not in sc.guard_texts:
+            raise ScenarioError(f"branch at event {c} has no guard")
         for eid, _, _ in arms[0] + arms[1]:
             if pid[eid] != pid[c]:
                 raise ScenarioError(
@@ -281,9 +281,7 @@ def sample_linear_extension(m: Msc, seed: int) -> list[int]:
     deterministic per seed: Kahn's algorithm over the chart's kept tables
     (:meth:`~cplkit.msc.Msc.scheduling_tables`), one draw per pick."""
     rng = SplitMix64(seed)
-    order = topological_order(
-        m, lambda n: rng.next_u64() % n, m.scheduling_tables()  # randint(0, n - 1)
-    )
+    order = topological_order(m, lambda n: rng.next_u64() % n)  # randint(0, n - 1)
     if len(order) != len(m.events):
         raise ScenarioError("chart is cyclic; cannot schedule")
     return order
@@ -324,16 +322,22 @@ _MUTANTS = {
 }
 
 
+def _mutant(mutation: str | None):
+    """The phase 1 run instead of ``begin_event`` under ``mutation``, if any."""
+    if mutation is not None and mutation not in _MUTANTS:
+        raise MonitorError(f"unknown mutation {mutation!r}")
+    return _MUTANTS.get(mutation)
+
+
 class _Replay:
     """The one replay step (see the module docstring) on the monitors of
     ``cones``: :meth:`begin` and then :meth:`finish` replay one event."""
 
     def __init__(self, m: Msc, g: GuardSet, cones: Mapping[str, Cone], mutation: str | None):
-        if mutation is not None and mutation not in _MUTANTS:
-            raise MonitorError(f"unknown mutation {mutation!r}")
+        self.mutant = _mutant(mutation)
         self.monitors = {b: init_monitor(b, g, m.lifelines, cones[b]) for b in m.lifelines}
         self.payloads: dict[int, MessagePayload] = {}  # by send event
-        self.send_of, self.mutant = {r: s for s, r in m.msg.items()}, _MUTANTS.get(mutation)
+        self.send_of = {r: s for s, r in m.msg.items()}
 
     def begin(self, e: int, owner: str, k: EventKind, v: Valuation) -> MonitorState:
         """Phase 1 of event ``e`` on its owner's monitor, which it returns."""
@@ -975,6 +979,7 @@ def fuzz_sweep(
     ``keep_going``; ``jobs > 1`` spreads instances over up to ``jobs``
     processes, at most one per seed and per core (aggregated in seed order).
     """
+    _mutant(mutation)  # workers get the name: the _rewriting closures do not pickle
     started = time.monotonic()
     seed_rng = SplitMix64(base.seed)
     params = [replace(base, seed=seed_rng.next_u64()) for _ in range(seeds)]

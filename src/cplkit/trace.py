@@ -188,6 +188,8 @@ def read_json(path: str | Path, error: type[Exception] = TraceFormatError) -> ob
             return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise error(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:  # CPython's own text differs across versions
+            raise error("invalid JSON: nested too deeply") from exc
 
 
 def load_trace(source: str | Path | dict) -> Msc:

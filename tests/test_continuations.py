@@ -226,13 +226,13 @@ def test_nested_branches_take_every_arm():
 
 
 def replay_against_fresh_charts(sc, seed):
-    """Replay without any new chart analysis, then check that the grown
+    """Replay without a chart pass, then check that the grown
     chart answers every causal query like one loaded from its dump, and
     that the scenario's own chart answers as before."""
     before = chart_answers(sc.msc)
     with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
         log = run_scenario(sc, sc.guard_set(), seed)
-        grown = chart_answers(log.msc)
+    grown = chart_answers(log.msc)
     assert grown == chart_answers(load_trace(dump_trace(log.msc)))
     assert chart_answers(sc.msc) == before
     return log

@@ -391,3 +391,17 @@ def test_null_receiver_on_a_non_send_exits_2(capsys, tmp_path):
     assert main(["check", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "events[2]: receiver only allowed on send events" in out.err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    """JSON nested past the decoder's recursion limit is malformed input,
+    not a crash: a typed error from both loaders and exit 2 from the CLI."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    for load, error in ((load_trace, TraceFormatError), (load_scenario, ScenarioError)):
+        with pytest.raises(error, match="^invalid JSON: nested too deeply$"):
+            load(str(path))
+    for argv in (["check"], ["simulate"], ["explain", "--event", "0"]):
+        assert main(argv + [str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: invalid JSON: nested too deeply\n"

@@ -12,8 +12,14 @@ import pytest
 
 from cplkit.fixtures import fixture_path
 from cplkit.msc import MscError, validate_msc
-from cplkit.msc import EventKind, Msc, local_chains, topological_order
-from cplkit.simulator import FuzzParams, gen_random_msc, load_scenario, run_scenario
+from cplkit.msc import EventKind, Msc, kahn_tables, local_chains, topological_order
+from cplkit.simulator import (
+    FuzzParams,
+    gen_random_msc,
+    load_scenario,
+    run_scenario,
+    sample_linear_extension,
+)
 from cplkit.trace import dump_trace, load_trace, parse_trace
 
 from oracles import (
@@ -428,6 +434,17 @@ def test_topological_order_skips_unknown_edges_and_stops_at_cycles():
     assert any(v.condition == "iv" for v in validate_msc(cyclic).violations)
 
 
+def test_kahn_tables_are_built_once_per_chart():
+    """Every schedule of a chart, sampled or not, reads its one kept copy
+    of Kahn's tables."""
+    m = gen_random_msc(FuzzParams(seed=5))
+    with mock.patch("cplkit.msc.kahn_tables", wraps=kahn_tables) as tables:
+        first, second = topological_order(m), topological_order(m)
+        assert m.is_linear_extension(sample_linear_extension(m, 1))
+    assert first == second and m.is_linear_extension(first)
+    assert tables.call_count == 1
+
+
 def test_topological_order_picks_among_sorted_ready_events():
     m = load_trace(chart(["A", "B", "C"], [ev(5, "A", "act"), ev(1, "B", "act"),
                                            ev(3, "C", "act")]))
@@ -454,7 +471,7 @@ def test_local_chains_report_broken_lifelines():
 # Growth
 # ---------------------------------------------------------------------- #
 
-def test_grow_carries_the_analysis_and_leaves_the_parent_unchanged():
+def test_grow_runs_no_chart_pass_and_leaves_the_parent_unchanged():
     for m in random_charts(40):
         before, text = chart_answers(m), dump_trace(m)
         for owner in m.lifelines:
@@ -465,15 +482,35 @@ def test_grow_carries_the_analysis_and_leaves_the_parent_unchanged():
                 (new + 1, EventKind("send", other), {}),
                 (new + 2, EventKind("choice"), {}),
             ]
-            # Only the parent's analysis may be used: no new Kahn pass.
+            # Growing runs no Kahn pass; the grown chart's first query does.
             with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
                 grown = m.grow([(owner, arm)])
-                answers = chart_answers(grown)
+            answers = chart_answers(grown)
             fresh = load_trace(dump_trace(grown))
             assert validate_msc(fresh).ok
             assert answers == chart_answers(fresh)
             assert grown.events_of(owner)[-3:] == (new, new + 1, new + 2)
             assert chart_answers(m) == before and dump_trace(m) == text
+
+
+def test_a_grown_chart_is_analysed_by_its_first_query_alone():
+    """Growing runs no chart pass; the grown chart's first causal query
+    runs each pass once, and later queries run neither."""
+    for m in random_charts(10):
+        owner, other = m.lifelines[:2]
+        new = max(m.events, default=-1) + 1
+        arm = [(new, EventKind("act"), {"x0": 2}), (new + 1, EventKind("send", other), {})]
+        m.events_of(owner)  # the parent is analysed before it grows
+        with mock.patch("cplkit.msc.local_chains", wraps=local_chains) as chains, \
+                mock.patch("cplkit.msc.topological_order", wraps=topological_order) as order:
+            grown = m.grow([(owner, arm)])
+            assert (chains.call_count, order.call_count) == (0, 0)
+            assert grown.events_of(owner)[-2:] == (new, new + 1)
+            assert (chains.call_count, order.call_count) == (1, 1)
+            answers = chart_answers(grown)
+            assert grown.causal_leq(new, new + 1) and not grown.causal_leq(new + 1, new)
+        assert (chains.call_count, order.call_count) == (1, 1)
+        assert answers == chart_answers(load_trace(dump_trace(grown)))
 
 
 def test_grow_equals_appending_its_arms_in_turn():
@@ -490,7 +527,7 @@ def test_grow_equals_appending_its_arms_in_turn():
             stepwise = stepwise.grow([(owner, arm)])
         with mock.patch("cplkit.msc.topological_order", side_effect=AssertionError):
             grown = m.grow(arms)
-            answers = chart_answers(grown)
+        answers = chart_answers(grown)
         assert grown.events == stepwise.events
         assert dump_trace(grown) == dump_trace(stepwise)
         assert answers == chart_answers(stepwise) == chart_answers(load_trace(dump_trace(grown)))

@@ -315,6 +315,22 @@ def test_bad_continuations_are_rejected():
         Scenario(msc=m, guard_texts={0: "Here.x == 1"}, branches={0: (duplicate_id, [])})
 
 
+def test_a_branch_needs_a_guard_in_code_as_in_files():
+    """A branch on a choice with no guard, which no verdict could ever
+    take, is rejected whether ``load_scenario`` builds the scenario or
+    code does."""
+    m = load_trace(chart(["A"], [ev(0, "A", "choice"), ev(1, "A", "choice")], succ=[(0, 1)]))
+    then = [ev(5, "A", "act")]
+    with pytest.raises(ScenarioError, match="^branch at event 1 has no guard$"):
+        Scenario(msc=m, guard_texts={0: "true"}, branches={1: (then, [])})
+    with pytest.raises(ScenarioError, match="^branch at event 7 has no guard$"):
+        Scenario(msc=m, guard_texts={0: "true"}, branches={7: ([], [])})
+    doc = {**dump_trace(m), "guards": [{"choice_event_id": 0, "guard": "true"}],
+           "branches": [{"choice_event_id": 1, "then": {"events": then}, "else": {}}]}
+    with pytest.raises(ScenarioError, match=r"^branches\[0\]: event 1 has no guard$"):
+        load_scenario(doc)
+
+
 def test_scenario_built_in_code_checks_its_chart():
     unmatched = load_trace(chart(["A", "B"], [ev(0, "B", "recv")]))
     with pytest.raises(ScenarioError, match="not well-formed"):
@@ -619,6 +635,8 @@ def test_an_unknown_mutation_is_a_caller_error(monkeypatch):
         lambda: differential_check(m, g, sample_linear_extension(m, 0), "nonsense"),
         lambda: run_scenario(sc, sc.guard_set(), 0, "nonsense"),
         lambda: fuzz_sweep(p, seeds=3, extensions=1, mutation="nonsense", keep_going=True),
+        lambda: fuzz_sweep(p, seeds=0, extensions=1, mutation="nonsense"),
+        lambda: fuzz_sweep(p, seeds=0, extensions=1, mutation="nonsense", jobs=2),
     ]
     for call in calls:
         with pytest.raises(MonitorError, match="^unknown mutation 'nonsense'$"):
